@@ -7,7 +7,7 @@ genuinely constant-time every lane makes identical timing-relevant
 decisions, so one fetch/rename/schedule/commit state machine can drive all
 lanes with only the architectural values vectorized.  This benchmark times
 that phase scalar (:func:`repro.sampler.exec_backend.execute_run` per task)
-vs lane-batched (:func:`repro.sampler.exec_backend.execute_task_list` over
+vs lane-batched (:func:`repro.sampler.exec_backend.execute_tasks` over
 one lockstep group) at N=8 on three constant-time workloads, asserts the
 traced outputs are bit-identical, and enforces a >= 3x speedup floor.
 
@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from repro.sampler.exec_backend import execute_run, execute_task_list
+from repro.sampler.exec_backend import execute_run, execute_tasks
 from repro.sampler.runner import prepare_campaign
 from repro.workloads.bignum import make_mp_modexp_ct
 from repro.workloads.chacha import make_chacha20
@@ -90,7 +90,7 @@ def measure(pairs, repeats: int = 2) -> list[dict]:
         scalar_s, scalar_outputs = _best(
             lambda: [execute_run(task) for task in scalar_tasks], repeats)
         batch_s, batch_outputs = _best(
-            lambda: execute_task_list(tasks), repeats)
+            lambda: execute_tasks(tasks), repeats)
 
         identical = all(
             _identity_view(batched) == _identity_view(scalar)

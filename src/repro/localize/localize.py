@@ -158,7 +158,7 @@ def localize(workload: Workload, *, sampler=None, report=None,
     """The full two-phase flow: detect, then localize every flagged unit.
 
     ``sampler`` supplies the core configuration, thresholds, engine and
-    simulation backend (jobs/cache); ``report`` is an existing phase-1
+    simulation backend (jobs/pool/cache); ``report`` is an existing phase-1
     :class:`~repro.sampler.pipeline.LeakageReport` to reuse (one is
     computed when omitted).  ``features`` overrides the localization
     targets — by default, the report's leaky units.
@@ -193,6 +193,7 @@ def localize(workload: Workload, *, sampler=None, report=None,
     campaign_kwargs = dict(
         features=targets, keep_raw=True, log_commits=True,
         max_cycles_per_run=max_cycles_per_run, jobs=sampler.jobs,
+        pool=getattr(sampler, "pool", None),
         warmup_insts=getattr(sampler, "warmup_insts", None),
         batch_lanes=getattr(sampler, "batch_lanes", None),
         profile=sampler.profile,

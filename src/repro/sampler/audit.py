@@ -166,11 +166,12 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
               batch_lanes=None,
               engine: str = "numpy", profile: bool = False,
               taint: bool = False,
-              taint_expectations: dict | None = None) -> AuditResult:
+              taint_expectations: dict | None = None,
+              pool=None) -> AuditResult:
     """Analyze every workload; ``expectations[name]`` = True means "should
     leak" (a litmus), False means "must be clean" (a hardened primitive).
 
-    ``jobs``/``cache``/``warmup_insts``/``batch_lanes``/``engine``/
+    ``jobs``/``pool``/``cache``/``warmup_insts``/``batch_lanes``/``engine``/
     ``profile`` configure the simulation backend and the statistics engine
     when no explicit ``sampler`` is supplied (see
     :func:`repro.sampler.run_campaign` and
@@ -182,7 +183,8 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     ``taint_expectations[name]`` = True means "should escalate" (folded
     into ``as_expected``, so the audit gates the taint engine too).  A
     ``TAINT-DISAGREE`` status on any unit also fails the entry."""
-    sampler = sampler or MicroSampler(config, jobs=jobs, cache=cache,
+    sampler = sampler or MicroSampler(config, jobs=jobs, pool=pool,
+                                      cache=cache,
                                       warmup_insts=warmup_insts,
                                       batch_lanes=batch_lanes,
                                       engine=engine, profile=profile,

@@ -30,9 +30,9 @@ semantics at microarchitectural granularity.
 
 The differential test battery (``tests/test_batch_interpreter.py``,
 ``tests/test_checkpoint.py``) enforces that batched captures are
-bit-identical to scalar ones; modes still never share checkpoint-store
-entries (``batch_lanes`` is part of the key) so a capture bug in one mode
-cannot poison the other.
+bit-identical to scalar ones, so both modes share one checkpoint-store
+entry per task: a run with ``--batch-lanes off`` loads what an ``auto``
+run captured, and vice versa.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
     """Capture (or load) checkpoints for ``to_run`` tasks, lockstep-batched.
 
     Mutates ``tasks`` in place: every task in ``to_run`` is replaced with a
-    copy carrying ``batch_lanes=lanes`` and its captured
+    copy carrying its captured
     :class:`~repro.sampler.checkpoint.Checkpoint` (or ``None`` when
     fast-forwarding is inapplicable, in which case the worker's scalar
-    fallback re-scouts under the same batch-keyed store entry).  Returns the
+    fallback re-scouts) and, with a store, the checkpoint key, so the
+    worker never re-hashes the program.  Returns the
     :class:`~repro.isa.batch_interpreter.DivergenceEvent`\\ s observed, with
     ``lanes`` remapped from batch-local positions to campaign run indices.
     """
@@ -98,21 +99,11 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
     divergences: list = []
     for start in range(0, len(to_run), lanes):
         chunk = to_run[start:start + lanes]
-        keys: dict[int, str] = {}
-        attached: dict[int, object] = {}
-        misses: list[int] = []
-        for index in chunk:
-            task = tasks[index]
-            cached = None
-            if store is not None:
-                key = checkpoint_key(task.program, task.memory_map,
-                                     warmup_insts, batch_lanes=lanes)
-                keys[index] = key
-                cached = store.load(key)
-            if cached is not None:
-                attached[index] = cached
-            else:
-                misses.append(index)
+        keys = ({index: checkpoint_key(tasks[index].program,
+                                       tasks[index].memory_map, warmup_insts)
+                 for index in chunk} if store is not None else {})
+        attached = {index: store.load(key) for index, key in keys.items()}
+        misses = [index for index in chunk if attached.get(index) is None]
         if misses:
             captured, events = capture_checkpoints_batch(
                 [tasks[index].program for index in misses],
@@ -130,7 +121,7 @@ def attach_batch_checkpoints(tasks: list, to_run: list, *, lanes: int,
                     store.store(keys[index], checkpoint)
         for index in chunk:
             tasks[index] = dataclasses.replace(
-                tasks[index], batch_lanes=lanes,
-                checkpoint=attached.get(index),
+                tasks[index], checkpoint=attached.get(index),
+                checkpoint_key=keys.get(index),
             )
     return divergences

@@ -40,9 +40,7 @@ state is a breaking change, not a cleanup.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,9 +54,10 @@ from repro.util.hashing import stable_hex_digest
 #: Bump when the checkpoint payload layout or key canonicalization changes.
 #: Version history: 1 = original layout; 2 = lockstep batch capture
 #: (``batch_lanes`` joined the key material, so batched and per-input
-#: captures — bit-identical by the differential test battery, but produced
-#: by different code paths — never share an entry).
-CHECKPOINT_FORMAT_VERSION = 2
+#: captures never shared an entry); 3 = ``batch_lanes`` left the key again:
+#: the differential test battery pins batched captures bit-identical to
+#: per-input ones, so both modes share one entry per task.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Default warm-up budget (instructions replayed cycle-accurately before the
 #: ROI).  Generous enough to cover every bundled workload's prologue, so the
@@ -113,15 +112,12 @@ class Checkpoint:
 
 
 def checkpoint_key(program: Program, memory_map: MemoryMap | None,
-                   warmup_insts: int,
-                   batch_lanes: int | None = None) -> str:
+                   warmup_insts: int) -> str:
     """Content-addressed key for a (program, memory map, warm-up) triple.
 
-    ``batch_lanes`` records which execution mode produced the entry
-    (``None`` = scalar per-input capture, ``N`` = lockstep batch capture at
-    that width).  Captures are bit-identical across modes — the batch
-    differential tests enforce that — but the producing code paths differ,
-    so they deliberately do not share cache entries.
+    The capture mode is not part of the key: lockstep batch captures are
+    bit-identical to scalar per-input ones (the batch differential tests
+    enforce that), so ``--batch-lanes auto`` and ``off`` share entries.
     """
     # Imported lazily: trace_cache imports exec_backend at module scope, and
     # exec_backend reaches back into this module from its worker path.
@@ -133,7 +129,6 @@ def checkpoint_key(program: Program, memory_map: MemoryMap | None,
         program_fingerprint(program),
         dataclasses.asdict(memory_map) if memory_map else None,
         warmup_insts,
-        batch_lanes,
     )
     return stable_hex_digest(material)
 
@@ -343,24 +338,11 @@ class CheckpointStore:
         return checkpoint
 
     def store(self, key: str, checkpoint: Checkpoint) -> bool:
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(_checkpoint_to_payload(checkpoint),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=f".{key}.")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+        from repro.sampler.trace_cache import write_atomic
+
+        payload = pickle.dumps(_checkpoint_to_payload(checkpoint),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        if not write_atomic(self._path(key), payload):
             return False
         self.stores += 1
         return True
@@ -370,20 +352,18 @@ def load_or_capture(program: Program, *,
                     memory_map: MemoryMap | None = None,
                     warmup_insts: int = 0,
                     store: CheckpointStore | None = None,
-                    batch_lanes: int | None = None,
+                    key: str | None = None,
                     max_steps: int = MAX_CAPTURE_STEPS) -> Checkpoint | None:
     """Fetch a checkpoint from ``store`` or capture (and persist) one.
 
     A missing ``roi.begin`` is not cached as a negative entry: programs
     without markers re-run the (cheap, aborted) scout pass each time.
-    ``batch_lanes`` only keys the lookup (a worker falling back after the
-    batch prepass skipped a lane must address the same entry the prepass
-    would have written); the capture itself is always scalar here.
+    ``key`` is the entry's :func:`checkpoint_key` when the caller already
+    has it (computed here otherwise).
     """
-    key = None
     if store is not None:
-        key = checkpoint_key(program, memory_map, warmup_insts,
-                             batch_lanes=batch_lanes)
+        if key is None:
+            key = checkpoint_key(program, memory_map, warmup_insts)
         cached = store.load(key)
         if cached is not None:
             return cached

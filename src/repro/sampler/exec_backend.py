@@ -1,12 +1,14 @@
-"""Campaign execution backends: serial and process-parallel.
+"""Campaign execution: one executor, in-process or on a worker pool.
 
-``run_campaign`` fans the per-input simulations of a workload out over this
-module.  Each input is wrapped in a self-contained, picklable
-:class:`RunTask` (patched program + core configuration + tracer settings); a
-worker — in-process for ``jobs=1``, a ``multiprocessing`` pool member
-otherwise — rebuilds the core from the task, runs it to completion under a
-private :class:`~repro.trace.tracer.MicroarchTracer`, and returns a
-:class:`RunOutput` of finalized iteration snapshots.
+``run_campaign`` and the cross-config sweep hand their per-input
+simulations to :func:`execute_groups`.  Each input is wrapped in a
+self-contained, picklable :class:`RunTask` (patched program + core
+configuration + tracer settings), and tasks travel as *lane groups* (see
+:func:`_lane_groups`).  A worker — in-process for ``jobs=1``, a
+:class:`WorkerPool` member otherwise — rebuilds the core from the tasks,
+runs it to completion under a private
+:class:`~repro.trace.tracer.MicroarchTracer`, and returns
+:class:`RunOutput`\\ s of finalized iteration snapshots.
 
 Determinism is the design constraint: outputs are merged **in input order**
 (never completion order) and re-stamped with their global run index and
@@ -28,13 +30,13 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextvars
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
@@ -75,15 +77,14 @@ class RunTask:
     #: Observational only — excluded from the trace-cache key, and cached
     #: replays simply carry no profile.
     profile: bool = False
-    #: Lane width of the lockstep batch prepass that produced (and keys)
-    #: this task's checkpoint; None = scalar capture.  Only affects how the
-    #: checkpoint is obtained — the traced simulation is bit-identical — so
-    #: it is excluded from the trace-cache key like ``checkpoint_dir``.
-    batch_lanes: int | None = None
     #: Checkpoint attached by the batch prepass (``sampler/batch.py``); the
     #: worker then skips its own capture.  Derived state, not configuration
     #: — excluded from the trace-cache key.
     checkpoint: object | None = None
+    #: Checkpoint-store key the prepass computed for this task, so the
+    #: worker does not hash the program again.  Derived state — excluded
+    #: from the trace-cache key.
+    checkpoint_key: str | None = None
     #: Feature IDs the taint prescreen proved secret-free
     #: (:mod:`repro.uarch.reachability`): the tracer skips sampling them and
     #: records the constant empty snapshot instead.  Changes the recorded
@@ -93,9 +94,8 @@ class RunTask:
     #: (:mod:`repro.uarch.batch_core`): consecutive tasks with the same
     #: width > 1 run through one shared pipeline.  The traced results are
     #: pinned bit-identical to scalar runs, but the lane set determines
-    #: which inputs *can* share a pipeline — and hence which checkpoint
-    #: payloads a cached trace may reference — so unlike ``batch_lanes``
-    #: it **joins** the trace-cache key.
+    #: which inputs *can* share a pipeline — and hence which divergence
+    #: events a cached trace records — so it **joins** the trace-cache key.
     core_lanes: int | None = None
 
 
@@ -126,58 +126,65 @@ class RunOutput:
     divergences: tuple = ()
 
 
-def execute_run(task: RunTask) -> RunOutput:
-    """Simulate one input from reset and collect its iteration snapshots.
+def _checkpoints_for(tasks: list[RunTask]) -> tuple[list, list, float]:
+    """Each task's fast-forward checkpoint, the store key it lives under,
+    and the seconds spent obtaining them.
 
-    This is the worker entry point: module-level so it pickles under every
-    ``multiprocessing`` start method, and self-contained so the same code
-    path serves the serial backend, the pool workers and cache misses.
+    The batch prepass attaches both to the tasks it covers; anything still
+    missing is keyed (once) and loaded from the store or captured here.
     """
-    # Imported here, not at module top, to avoid a circular import
-    # (runner -> exec_backend -> runner).
-    from repro.sampler.runner import WorkloadError
+    started = time.perf_counter()
+    checkpoints = [task.checkpoint for task in tasks]
+    keys = [task.checkpoint_key for task in tasks]
+    if tasks[0].warmup_insts is None:
+        return checkpoints, keys, 0.0
+    from repro.sampler.checkpoint import (
+        CheckpointStore,
+        checkpoint_key,
+        load_or_capture,
+    )
 
-    tracer = MicroarchTracer(features=task.features, keep_raw=task.keep_raw,
-                             log_commits=task.log_commits,
-                             pruned=task.pruned)
-    tracer.timed = True
-    tracer.begin_run(task.run_index)
-
-    checkpoint = task.checkpoint
-    ff_seconds = 0.0
-    if checkpoint is None and task.warmup_insts is not None:
-        from repro.sampler.checkpoint import CheckpointStore, load_or_capture
-
-        started = time.perf_counter()
+    for lane, task in enumerate(tasks):
         store = (CheckpointStore(task.checkpoint_dir)
                  if task.checkpoint_dir else None)
-        checkpoint = load_or_capture(
-            task.program, memory_map=task.memory_map,
-            warmup_insts=task.warmup_insts, store=store,
-            batch_lanes=task.batch_lanes,
-        )
-        ff_seconds = time.perf_counter() - started
+        if store is not None and keys[lane] is None:
+            keys[lane] = checkpoint_key(task.program, task.memory_map,
+                                        task.warmup_insts)
+        if checkpoints[lane] is None:
+            checkpoints[lane] = load_or_capture(
+                task.program, memory_map=task.memory_map,
+                warmup_insts=task.warmup_insts, store=store, key=keys[lane])
+    return checkpoints, keys, time.perf_counter() - started
 
-    core = Core(
-        task.program, task.config,
-        memory_map=task.memory_map,
-        kernel=ProxyKernel(memory_map=task.memory_map or MemoryMap()),
-        tracer=tracer,
-    )
-    if task.log_commits:
+
+def _run_core(core, tracer, tasks: list[RunTask], checkpoints: list,
+              ff_seconds: float):
+    """The set-up and run shared by the scalar and the lane-batched core.
+
+    Attaches commit logging and the profiler, restores the fast-forward
+    checkpoint(s), warms the configured D-cache regions, attributes the
+    pre-ROI cycles to the profiler's warm-up phase, and runs to the end.
+    Returns ``(run result, instructions fast-forwarded)``.
+    """
+    head = tasks[0]
+    if head.log_commits:
         core.commit_listener = tracer.on_commit
-    if task.profile:
+    if head.profile:
         from repro.util.profiling import StageProfile
 
         core.profiler = StageProfile()
+    checkpoint = checkpoints[0]
     if checkpoint is not None and checkpoint.steps > 0:
         # A step-0 checkpoint is the reset state: skip the restore so the
         # run is the full-simulation code path, not merely equivalent to it.
         started = time.perf_counter()
-        core.restore_architectural_state(checkpoint)
+        if len(tasks) > 1:
+            core.restore_architectural_states(checkpoints)
+        else:
+            core.restore_architectural_state(checkpoint)
         ff_seconds += time.perf_counter() - started
-    for symbol, length in task.warm_regions:
-        base = task.program.symbols[symbol]
+    for symbol, length in head.warm_regions:
+        base = head.program.symbols[symbol]
         for address in range(base, base + length, 64):
             core.dcache.warm_line(address)
     ff_steps = checkpoint.steps if checkpoint is not None else 0
@@ -188,23 +195,46 @@ def execute_run(task: RunTask) -> RunOutput:
         # or the whole prologue when checkpointing is off) to its own phase.
         started = time.perf_counter()
         while (not core.halted and not tracer.roi_seen
-                and core.cycle < task.max_cycles):
+                and core.cycle < head.max_cycles):
             core.step()
         core.profiler.warmup_seconds += time.perf_counter() - started
-    result = core.run(max_cycles=task.max_cycles)
-    if (task.expect_exit_code is not None
-            and result.exit_code != task.expect_exit_code):
+    return core.run(max_cycles=head.max_cycles), ff_steps
+
+
+def _check_exit(task: RunTask, exit_code: int) -> None:
+    if task.expect_exit_code is not None and exit_code != task.expect_exit_code:
+        # Imported here, not at module top, to avoid a circular import
+        # (runner -> exec_backend -> runner).
+        from repro.sampler.runner import WorkloadError
+
         raise WorkloadError(
             f"workload {task.workload_name!r} exited with "
-            f"{result.exit_code} (expected {task.expect_exit_code})"
+            f"{exit_code} (expected {task.expect_exit_code})"
         )
-    ckpt_key = None
-    if task.warmup_insts is not None and task.checkpoint_dir:
-        from repro.sampler.checkpoint import checkpoint_key
 
-        ckpt_key = checkpoint_key(task.program, task.memory_map,
-                                  task.warmup_insts,
-                                  batch_lanes=task.batch_lanes)
+
+def execute_run(task: RunTask) -> RunOutput:
+    """Simulate one input from reset and collect its iteration snapshots.
+
+    This is the worker entry point: module-level so it pickles under every
+    ``multiprocessing`` start method, and self-contained so the same code
+    path serves in-process runs, the pool workers and cache misses.
+    """
+    tracer = MicroarchTracer(features=task.features, keep_raw=task.keep_raw,
+                             log_commits=task.log_commits,
+                             pruned=task.pruned)
+    tracer.timed = True
+    tracer.begin_run(task.run_index)
+    checkpoints, keys, ff_seconds = _checkpoints_for([task])
+    core = Core(
+        task.program, task.config,
+        memory_map=task.memory_map,
+        kernel=ProxyKernel(memory_map=task.memory_map or MemoryMap()),
+        tracer=tracer,
+    )
+    result, ff_steps = _run_core(core, tracer, [task], checkpoints,
+                                 ff_seconds)
+    _check_exit(task, result.exit_code)
     return RunOutput(
         run_index=task.run_index,
         iterations=tracer.iterations,
@@ -213,7 +243,7 @@ def execute_run(task: RunTask) -> RunOutput:
         sample_seconds=tracer.sample_seconds + tracer.finalize_seconds,
         ff_steps=ff_steps,
         profile=core.profiler,
-        checkpoint_key=ckpt_key,
+        checkpoint_key=keys[0],
     )
 
 
@@ -225,7 +255,6 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
     differ).  Raises :class:`~repro.uarch.batch_core.LaneDivergence` when
     the lanes cannot share a pipeline — the caller partitions and retries.
     """
-    from repro.sampler.runner import WorkloadError
     from repro.trace.tracer import BatchTracer
     from repro.uarch.batch_core import BatchCore
 
@@ -237,35 +266,12 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
                          pruned=head.pruned)
     tracer.timed = True
     tracer.begin_lane_runs([task.run_index for task in tasks])
-
-    checkpoints = [task.checkpoint for task in tasks]
-    ff_seconds = 0.0
-    if head.warmup_insts is not None:
-        from repro.sampler.checkpoint import CheckpointStore, load_or_capture
-
-        started = time.perf_counter()
-        for lane, task in enumerate(tasks):
-            if checkpoints[lane] is None:
-                store = (CheckpointStore(task.checkpoint_dir)
-                         if task.checkpoint_dir else None)
-                checkpoints[lane] = load_or_capture(
-                    task.program, memory_map=task.memory_map,
-                    warmup_insts=task.warmup_insts, store=store,
-                    batch_lanes=task.batch_lanes,
-                )
-        ff_seconds = time.perf_counter() - started
-
+    checkpoints, keys, ff_seconds = _checkpoints_for(tasks)
     core = BatchCore(
         [task.program for task in tasks], head.config,
         memory_map=head.memory_map,
         tracer=tracer,
     )
-    if head.log_commits:
-        core.commit_listener = tracer.on_commit
-    if head.profile:
-        from repro.util.profiling import StageProfile
-
-        core.profiler = StageProfile()
     run_started = time.perf_counter()
     have = sum(1 for ckpt in checkpoints if ckpt is not None)
     if 0 < have < n_lanes:
@@ -276,49 +282,17 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
         heads = tuple((ckpt.pc, ckpt.steps) for ckpt in checkpoints)
         if any(entry != heads[0] for entry in heads[1:]):
             core._diverge("checkpoint", heads[0][0], "<restore>", heads)
-        if checkpoints[0].steps > 0:
-            # Step-0 checkpoints are the reset state: skip the restore so
-            # the run is the full-simulation code path (same rule as the
-            # scalar backend).
-            started = time.perf_counter()
-            core.restore_architectural_states(checkpoints)
-            ff_seconds += time.perf_counter() - started
-    for symbol, length in head.warm_regions:
-        base = head.program.symbols[symbol]
-        for address in range(base, base + length, 64):
-            core.dcache.warm_line(address)
-    ff_steps = checkpoints[0].steps if checkpoints[0] is not None else 0
-    if core.profiler is not None:
-        core.profiler.fastforward_seconds += ff_seconds
-        core.profiler.ff_steps += ff_steps
-        started = time.perf_counter()
-        while (not core.halted and not tracer.roi_seen
-                and core.cycle < head.max_cycles):
-            core.step()
-        core.profiler.warmup_seconds += time.perf_counter() - started
-    core.run(max_cycles=head.max_cycles)
+    _result, ff_steps = _run_core(core, tracer, tasks, checkpoints,
+                                  ff_seconds)
     if core.profiler is not None:
         core.profiler.batchcore_seconds += time.perf_counter() - run_started
         core.profiler.batchcore_runs += 1
     for lane, task in enumerate(tasks):
-        exit_code = core.kernel.kernels[lane].exit_code
-        if (task.expect_exit_code is not None
-                and exit_code != task.expect_exit_code):
-            raise WorkloadError(
-                f"workload {task.workload_name!r} exited with "
-                f"{exit_code} (expected {task.expect_exit_code})"
-            )
+        _check_exit(task, core.kernel.kernels[lane].exit_code)
     outputs = []
     sample_seconds = tracer.sample_seconds + tracer.finalize_seconds
     for lane, task in enumerate(tasks):
         kernel = core.kernel.kernels[lane]
-        ckpt_key = None
-        if task.warmup_insts is not None and task.checkpoint_dir:
-            from repro.sampler.checkpoint import checkpoint_key
-
-            ckpt_key = checkpoint_key(task.program, task.memory_map,
-                                      task.warmup_insts,
-                                      batch_lanes=task.batch_lanes)
         outputs.append(RunOutput(
             run_index=task.run_index,
             iterations=tracer.lane_iterations[lane],
@@ -333,7 +307,7 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
             sample_seconds=sample_seconds if lane == 0 else 0.0,
             ff_steps=ff_steps,
             profile=core.profiler if lane == 0 else None,
-            checkpoint_key=ckpt_key,
+            checkpoint_key=keys[lane],
         ))
     return outputs
 
@@ -355,26 +329,20 @@ def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
         return _execute_lockstep(tasks)
     except LaneDivergence as exc:
         fallback_started = time.perf_counter()
-        event = _remap_event_lanes(exc.event, tasks)
+        event = replace(exc.event, lanes=tuple(
+            tasks[lane].run_index for lane in exc.event.lanes))
         groups: dict = {}
-        order = []
         for lane, key in enumerate(exc.lane_keys):
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(lane)
-        outputs: list[RunOutput | None] = [None] * len(tasks)
-        if len(order) == 1:
+            groups.setdefault(key, []).append(lane)
+        if len(groups) == 1:
             # Defensive: a divergence with one equality class cannot be
             # partitioned — run every lane scalar.
-            for lane, task in enumerate(tasks):
-                outputs[lane] = execute_run(task)
-        else:
-            for key in order:
-                members = groups[key]
-                results = execute_run_batch([tasks[lane] for lane in members])
-                for member, result in zip(members, results):
-                    outputs[member] = result
+            groups = {lane: [lane] for lane in range(len(tasks))}
+        outputs: list[RunOutput | None] = [None] * len(tasks)
+        for members in groups.values():
+            results = execute_run_batch([tasks[lane] for lane in members])
+            for member, result in zip(members, results):
+                outputs[member] = result
         events = [event]
         for output in outputs:
             if output.divergences:
@@ -387,12 +355,6 @@ def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
         return outputs
 
 
-def _remap_event_lanes(event, tasks):
-    """Remap a divergence event's lane numbers to campaign run indices."""
-    return replace(
-        event, lanes=tuple(tasks[lane].run_index for lane in event.lanes))
-
-
 def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
     """Partition tasks (order-preserving) into batched-core lane groups.
 
@@ -400,29 +362,13 @@ def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
     groups of at most that width; everything else stays a singleton.
     """
     groups: list[list[RunTask]] = []
-    index = 0
-    count = len(tasks)
-    while index < count:
-        width = tasks[index].core_lanes or 0
-        if width > 1:
-            end = index + 1
-            while (end < count and end - index < width
-                    and (tasks[end].core_lanes or 0) > 1):
-                end += 1
-            groups.append(list(tasks[index:end]))
-            index = end
+    for task in tasks:
+        if ((task.core_lanes or 0) > 1 and groups
+                and len(groups[-1]) < (groups[-1][0].core_lanes or 0)):
+            groups[-1].append(task)
         else:
-            groups.append([tasks[index]])
-            index += 1
+            groups.append([task])
     return groups
-
-
-def execute_task_list(tasks: list[RunTask]) -> list[RunOutput]:
-    """Execute tasks in order, lane-batching eligible consecutive groups."""
-    outputs: list[RunOutput] = []
-    for group in _lane_groups(tasks):
-        outputs.extend(execute_run_batch(group))
-    return outputs
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -445,51 +391,78 @@ def _pool_context():
     )
 
 
+#: Per-caller progress counter sink: a callable taking
+#: ``(workload name, {event: increment})``.  The events are ``campaigns``
+#: and ``inputs`` (planned), ``cached`` (replayed from the cache),
+#: ``waited`` (replayed after another caller's in-flight simulation),
+#: ``dispatched`` (lane groups sent to execute) and ``simulated`` (inputs
+#: simulated).  The campaign service sets the sink inside each job's worker
+#: thread to feed the job's stats and progress events; everywhere else it
+#: is unset and counting costs one lookup.
+COUNTER_SINK: contextvars.ContextVar = contextvars.ContextVar(
+    "microsampler_counter_sink", default=None)
+
+
+def count(workload_name: str, **counts: int) -> None:
+    """Report counter increments to the caller's :data:`COUNTER_SINK`."""
+    sink = COUNTER_SINK.get()
+    if sink is not None:
+        sink(workload_name, counts)
+
+
+def execute_groups(groups: list[list[RunTask]], *, jobs: int | None = 1,
+                   pool: "WorkerPool | None" = None) -> list[tuple]:
+    """Execute lane groups; returns ``[(outputs, seconds), ...]`` in group
+    order, ``seconds`` being the group's in-worker wall-clock.
+
+    The one dispatcher behind every front end.  With a ``pool`` (a
+    long-lived :class:`WorkerPool`, e.g. the campaign service's) each lane
+    group is one shard.  Without one, ``jobs > 1`` and more than one group
+    open a transient pool for the call; anything else runs in-process.
+    Results are gathered in submission order, so completion order never
+    influences the merge.  A batched-core group must land whole in one
+    worker, and without core batching every group is a singleton.
+    """
+    if pool is None:
+        workers = min(resolve_jobs(jobs), len(groups))
+        if workers > 1:
+            with WorkerPool(workers) as transient:
+                return execute_groups(groups, pool=transient)
+    if groups:
+        count(groups[0][0].workload_name, dispatched=len(groups))
+    futures = ([pool.submit(group) for group in groups]
+               if pool is not None else None)
+    results = []
+    for index, group in enumerate(groups):
+        if futures is None:
+            started = time.perf_counter()
+            results.append((execute_run_batch(group),
+                            time.perf_counter() - started))
+        else:
+            results.append((futures[index].result(),
+                            futures[index].seconds))
+        count(group[0].workload_name, simulated=len(group))
+    return results
+
+
 def execute_tasks(tasks: list[RunTask], jobs: int | None = 1,
                   pool: "WorkerPool | None" = None) -> list[RunOutput]:
-    """Execute ``tasks``, returning outputs in **task order**.
-
-    With a ``pool`` (a long-lived :class:`WorkerPool`, e.g. the campaign
-    service's), every lane group is dispatched as its own shard and the
-    outputs are gathered in submission order.  Otherwise ``jobs <= 1`` (or
-    a single group) runs in-process, and ``jobs > 1`` spins up a per-call
-    process pool; ``Executor.map`` yields results in submission order, so
-    completion order never influences the merge, and a worker's
-    ``WorkloadError`` propagates to the caller unchanged.
-
-    The dispatch unit is a *lane group* (see :func:`_lane_groups`): a
-    batched-core group must land whole in one worker, and without core
-    batching every group is a singleton, so this degenerates to the
-    original per-task behaviour.
-    """
-    if pool is not None and len(tasks) > 0:
-        futures = [pool.submit(group) for group in _lane_groups(tasks)]
-        outputs: list[RunOutput] = []
-        for future in futures:
-            outputs.extend(future.result())
-        return outputs
-    groups = _lane_groups(tasks)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(groups) <= 1:
-        return execute_task_list(tasks)
-    workers = min(jobs, len(groups))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_pool_context()) as pool_:
-        return [output
-                for outputs in pool_.map(execute_run_batch, groups)
-                for output in outputs]
+    """Execute ``tasks`` as lane groups (see :func:`execute_groups`),
+    returning their outputs in **task order**."""
+    return [output
+            for outputs, _seconds in execute_groups(
+                _lane_groups(tasks), jobs=jobs, pool=pool)
+            for output in outputs]
 
 
-# -- persistent worker pool (campaign service) -------------------------------
+# -- persistent worker pool --------------------------------------------------
 #
-# ``ProcessPoolExecutor`` is rebuilt per campaign and dies with its first
-# crashed worker (a SIGKILL poisons the whole executor).  The long-running
-# campaign service needs the opposite: workers that outlive any one job,
-# detect and replace crashed members, and re-dispatch the shard the victim
-# held.  ``WorkerPool`` provides that on plain ``multiprocessing`` pipes —
-# one duplex pipe per worker, a dispatcher thread multiplexing them with
-# ``connection.wait``.  A worker death closes its pipe, so the EOF doubles
-# as the health check: no polling interval, detection is immediate.
+# Workers that outlive any one call, detect and replace crashed members,
+# and re-dispatch the shard the victim held.  ``WorkerPool`` provides that
+# on plain ``multiprocessing`` pipes — one duplex pipe per worker, a
+# dispatcher thread multiplexing them with ``connection.wait``.  A worker
+# death closes its pipe, so the EOF doubles as the health check: no
+# polling interval, detection is immediate.
 
 
 #: Environment variable naming a *fault-injection token file*.  When set,
@@ -532,6 +505,8 @@ def _pool_worker(conn) -> None:
     OS-level death (crash, SIGKILL) takes it down, which the parent notices
     as EOF on this pipe.
     """
+    from repro.sampler.runner import WorkloadError
+
     while True:
         try:
             item = conn.recv()
@@ -540,19 +515,30 @@ def _pool_worker(conn) -> None:
         if item is None:
             return
         shard_id, tasks = item
+        started = time.perf_counter()
         try:
             outputs = []
             for group in _lane_groups(tasks):
                 for _ in group:
                     maybe_inject_worker_fault()
                 outputs.extend(execute_run_batch(group))
-            reply = (shard_id, True, outputs)
+            reply = (shard_id, True, outputs,
+                     time.perf_counter() - started)
+        except WorkloadError as exc:
+            # A misbehaving workload reaches the caller as itself.
+            reply = (shard_id, False, exc, 0.0)
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            reply = (shard_id, False, f"{type(exc).__name__}: {exc}")
+            reply = (shard_id, False, f"{type(exc).__name__}: {exc}", 0.0)
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             return
+
+
+class _ShardFuture(concurrent.futures.Future):
+    """A shard's result; ``seconds`` is its in-worker wall-clock once done."""
+
+    seconds = 0.0
 
 
 class _Shard:
@@ -563,7 +549,7 @@ class _Shard:
     def __init__(self, shard_id: int, tasks: list[RunTask]):
         self.shard_id = shard_id
         self.tasks = tasks
-        self.future: concurrent.futures.Future = concurrent.futures.Future()
+        self.future = _ShardFuture()
         self.dispatches = 0
 
 
@@ -584,14 +570,16 @@ class WorkerPool:
 
     ``submit(tasks)`` enqueues one *shard* (a list of :class:`RunTask`) and
     returns a :class:`concurrent.futures.Future` resolving to the shard's
-    ``list[RunOutput]`` in task order.  Shards are assigned to idle workers
+    ``list[RunOutput]`` in task order (its ``seconds`` attribute then holds
+    the shard's in-worker wall-clock).  Shards are assigned to idle workers
     by a dispatcher thread; a worker that dies mid-shard (crash, OOM kill,
     :data:`FAULT_TOKEN_ENV` injection) is detected immediately via pipe
     EOF, replaced with a fresh process, and its shard re-dispatched — up to
     ``max_redispatch`` times, after which the shard's future fails with
     :class:`WorkerCrashError`.  Python-level worker errors (a misbehaving
-    workload) are deterministic and fail the future with
-    :class:`ShardExecutionError` without retrying.
+    workload) are deterministic and fail the future without retrying: a
+    :class:`~repro.sampler.runner.WorkloadError` as itself, anything else
+    as :class:`ShardExecutionError`.
 
     Thread-safe: futures may be awaited from any thread (or wrapped with
     ``asyncio.wrap_future``).  Simulation results are bit-identical to
@@ -611,16 +599,10 @@ class WorkerPool:
         self._next_worker_id = 0
         self._next_shard_id = 0
         self._closed = False
-        self._stats = {
-            "workers": self.n_workers,
-            "workers_spawned": 0,
-            "workers_replaced": 0,
-            "shards_dispatched": 0,
-            "shards_redispatched": 0,
-            "shards_completed": 0,
-            "shards_failed": 0,
-            "tasks_completed": 0,
-        }
+        self._stats = {"workers": self.n_workers, **dict.fromkeys(
+            ("workers_spawned", "workers_replaced", "shards_dispatched",
+             "shards_redispatched", "shards_completed", "shards_failed",
+             "tasks_completed"), 0)}
         self._wake_r, self._wake_w = os.pipe()
         with self._lock:
             for _ in range(self.n_workers):
@@ -737,7 +719,7 @@ class WorkerPool:
                     handle.shard = None
 
     def _on_result(self, handle: _WorkerHandle, reply) -> None:
-        shard_id, ok, payload = reply
+        shard_id, ok, payload, seconds = reply
         shard = handle.shard
         handle.shard = None
         if shard is None or shard.shard_id != shard_id:
@@ -746,11 +728,14 @@ class WorkerPool:
             self._stats["shards_completed"] += 1
             self._stats["tasks_completed"] += len(shard.tasks)
             if not shard.future.done():
+                shard.future.seconds = seconds
                 shard.future.set_result(payload)
         else:
             self._stats["shards_failed"] += 1
             if not shard.future.done():
-                shard.future.set_exception(ShardExecutionError(payload))
+                shard.future.set_exception(
+                    payload if isinstance(payload, BaseException)
+                    else ShardExecutionError(payload))
 
     def _on_death_locked(self, handle: _WorkerHandle) -> None:
         """Replace a dead worker and requeue (or fail) its shard."""

@@ -183,7 +183,8 @@ class MicroSampler:
                  measure_mi: bool = False,
                  mi_permutations: int = 200,
                  profile: bool = False,
-                 taint: bool = False):
+                 taint: bool = False,
+                 pool=None):
         if engine not in self.ENGINES:
             raise ValueError(
                 f"unknown analysis engine {engine!r}; choose from "
@@ -201,8 +202,11 @@ class MicroSampler:
         #: steady-state verdicts.
         self.warmup_iterations = warmup_iterations
         #: Simulation backend knobs (see :func:`repro.sampler.run_campaign`):
-        #: inputs simulated concurrently, and an optional trace cache.
+        #: inputs simulated concurrently, a long-lived
+        #: :class:`~repro.sampler.exec_backend.WorkerPool` to simulate on
+        #: (overrides ``jobs``), and an optional trace cache.
         self.jobs = jobs
+        self.pool = pool
         self.cache = cache
         #: Fast-forward checkpointing budget (``None`` = full simulation):
         #: functional warm-up to ``roi.begin`` minus this many instructions,
@@ -247,7 +251,7 @@ class MicroSampler:
         campaign = run_campaign(
             workload, self.config, features=self.features,
             max_cycles_per_run=max_cycles_per_run,
-            jobs=self.jobs, cache=self.cache,
+            jobs=self.jobs, pool=self.pool, cache=self.cache,
             warmup_insts=self.warmup_insts,
             batch_lanes=self.batch_lanes, profile=self.profile,
             pruned=taint_summary.pruned if taint_summary else (),

@@ -6,11 +6,12 @@ once, then executes one fresh core per input — every simulation begins in the
 same reset state, as in the paper.
 
 Execution is delegated to :mod:`repro.sampler.exec_backend`: with ``jobs=1``
-every input runs in-process; with ``jobs>1`` inputs are simulated on a
-process pool and merged back in input order, bit-identical to the serial
-result.  An optional :class:`~repro.sampler.trace_cache.TraceCache` replays
-previously simulated (program, input, config) triples without touching the
-core at all.
+every input runs in-process; with ``jobs>1`` (or a ``pool``) inputs are
+simulated on a worker pool and merged back in input order, bit-identical to
+the serial result.  An optional :class:`~repro.sampler.trace_cache.TraceCache`
+replays previously simulated (program, input, config) triples without
+touching the core at all, and makes callers sharing it simulate each of
+those triples once even while the first simulation is still running.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from repro.kernel.memory_map import MemoryMap
 from repro.sampler.exec_backend import (
     RunOutput,
     RunTask,
-    execute_run,
+    count,
+    execute_groups,
     execute_tasks,
     merge_outputs,
 )
@@ -163,49 +165,64 @@ class CampaignPlan:
     """A campaign prepared for execution but not yet simulated.
 
     :func:`prepare_campaign` assembles the program, builds one
-    :class:`RunTask` per input, consults the trace cache (hits are replayed
-    immediately and **never occupy a simulation slot**), folds in-campaign
-    duplicates, and runs the lockstep batch prepass.  What remains —
-    ``to_run`` — is the shard-able simulation work: any scheduler (the
-    in-process backends via :func:`run_campaign`, or the campaign service's
-    persistent worker pool) may execute those tasks in any order and on any
-    machine, fill the outputs in with :meth:`fill`, and obtain a campaign
-    bit-identical to a serial run from :func:`finalize_campaign` — the
-    deterministic input-order merge is what makes placement free.
+    :class:`RunTask` per input, claims and looks up every input in the
+    trace cache (hits are replayed immediately and **never occupy a
+    simulation slot**), folds duplicates — of an earlier input, or of an
+    input another caller of the same cache is simulating — and runs the
+    lockstep batch prepass.  What remains — ``to_run`` — is the simulation
+    work: execute those tasks anywhere, in any order, record the outputs
+    with :meth:`fill`, and :func:`finalize_campaign` returns a campaign
+    bit-identical to a serial run — the deterministic input-order merge is
+    what makes placement free.  Every path must end in :meth:`release`, so
+    waiters on this plan's claims never hang.
     """
 
     workload: Workload
     config: CoreConfig
     tasks: list[RunTask]
     cache: object | None
-    #: Per-task content-addressed cache keys (None when cache is off).
-    keys: list[str] | None
     #: Per-task outputs; cache hits pre-filled, the rest ``None`` until
     #: :meth:`fill`.
     outputs: list[RunOutput | None]
-    #: task index -> cache key of an identical earlier task in this campaign.
-    duplicate_of: dict[int, str]
-    #: Task indices that actually need simulating, in input order.
-    to_run: list[int]
-    n_cached: int
-    divergences: list
     features: object
     keep_raw: object
     log_commits: bool
     profile: bool
     started: float
+    #: Per-task content-addressed cache keys (None when cache is off).
+    keys: list[str] | None = None
+    #: task index -> cache key of an identical input simulated elsewhere
+    #: (earlier in this campaign, or by another caller of the cache).
+    duplicate_of: dict[int, str] = field(default_factory=dict)
+    #: Task indices that actually need simulating, in input order.
+    to_run: list[int] = field(default_factory=list)
+    n_cached: int = 0
+    divergences: list = field(default_factory=list)
     #: Wall-clock the batch checkpoint prepass spent capturing (or loading)
     #: checkpoints while this plan was prepared.  The sweep engine reports
     #: it separately: the first config leg pays the capture, every later
     #: leg's prepass degenerates to store loads.
     capture_seconds: float = 0.0
+    #: Cache keys this plan has claimed and not yet released.
+    claimed: set = field(default_factory=set)
+    #: cache key -> the other caller's claim future, for duplicates of
+    #: inputs another caller is simulating.
+    waiting: dict = field(default_factory=dict)
 
     def fill(self, index: int, output: RunOutput) -> None:
-        """Record one simulated output (and persist it to the cache)."""
+        """Record one simulated output, store it, and release its claim."""
         self.outputs[index] = output
         if self.cache is not None and self.keys is not None:
-            self.cache.store(self.keys[index], output,
-                             config=self.tasks[index].config)
+            key = self.keys[index]
+            self.cache.store(key, output, config=self.tasks[index].config)
+            if key in self.claimed:
+                self.claimed.discard(key)
+                self.cache.release(key)
+
+    def release(self) -> None:
+        """Release every claim still held (error, cancel or normal end)."""
+        while self.claimed:
+            self.cache.release(self.claimed.pop())
 
     @property
     def pending_tasks(self) -> list[RunTask]:
@@ -224,13 +241,14 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
                      profile: bool = False,
                      pruned=(),
                      programs=None) -> CampaignPlan:
-    """Plan a campaign: build tasks, replay cache hits, batch-prepass.
+    """Plan a campaign: build tasks, claim and replay cache hits, prepass.
 
     This is everything :func:`run_campaign` does before simulation.  The
-    returned plan's ``to_run`` tasks must each be passed through
-    :func:`~repro.sampler.exec_backend.execute_run` (anywhere — in-process,
-    process pool, persistent service worker) and recorded with
+    returned plan's ``to_run`` tasks must each be executed (see
+    :func:`~repro.sampler.exec_backend.execute_groups`) and recorded with
     ``plan.fill(index, output)``; then :func:`finalize_campaign` merges.
+    The plan holds a cache claim on every key it must simulate until it is
+    filled; call ``plan.release()`` on every path.
 
     ``programs`` optionally supplies the per-input patched programs (one
     per ``workload.inputs`` entry), skipping the assemble + patch phase —
@@ -248,9 +266,9 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
 
         checkpoint_dir = str(CheckpointStore.for_cache_root(cache.root).root)
     # Resolve the lockstep lane width up front: ``core_lanes`` joins every
-    # task's cache key (a lane-batched run references lane-batched
-    # checkpoints and records divergence events), so it must be stamped
-    # before the cache is consulted.
+    # task's cache key (a lane-batched run records the divergence events
+    # of its lane group), so it must be stamped before the cache is
+    # consulted.
     core_lanes = None
     if batch_lanes is not None:
         from repro.sampler.batch import resolve_batch_lanes
@@ -275,70 +293,102 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         programs=programs,
     )
 
-    started = time.perf_counter()
-    outputs: list[RunOutput | None] = [None] * len(tasks)
-    keys: list[str] | None = None
-    duplicate_of: dict[int, str] = {}
-    if cache is not None:
-        keys = [cache.key_for(task) for task in tasks]
-        for index, key in enumerate(keys):
-            outputs[index] = cache.load(key)
-    n_cached = sum(1 for output in outputs if output is not None)
-
-    # Within one campaign, identical (program, input, config) triples are
-    # simulated once and replayed for the duplicates (MicroWalk-style trace
-    # deduplication; requires a cache to clone the outputs through).
-    to_run: list[int] = []
-    seen_keys: set[str] = set()
-    for index, output in enumerate(outputs):
-        if output is not None:
-            continue
-        if keys is not None and keys[index] in seen_keys:
-            duplicate_of[index] = keys[index]
-            continue
-        if keys is not None:
-            seen_keys.add(keys[index])
-        to_run.append(index)
-
-    divergences: list = []
-    capture_seconds = 0.0
-    if warmup_insts is not None and batch_lanes is not None and to_run:
-        from repro.sampler.batch import (
-            attach_batch_checkpoints,
-            resolve_batch_lanes,
-        )
-
-        lanes = resolve_batch_lanes(batch_lanes, len(to_run))
-        if lanes > 1:
-            capture_started = time.perf_counter()
-            divergences = attach_batch_checkpoints(
-                tasks, to_run, lanes=lanes, warmup_insts=warmup_insts,
-                checkpoint_dir=checkpoint_dir,
-            )
-            capture_seconds = time.perf_counter() - capture_started
-
-    return CampaignPlan(
+    plan = CampaignPlan(
         workload=workload, config=config, tasks=tasks, cache=cache,
-        keys=keys, outputs=outputs, duplicate_of=duplicate_of,
-        to_run=to_run, n_cached=n_cached, divergences=divergences,
-        features=features, keep_raw=keep_raw, log_commits=log_commits,
-        profile=profile, started=started, capture_seconds=capture_seconds,
-    )
+        outputs=[None] * len(tasks), features=features, keep_raw=keep_raw,
+        log_commits=log_commits, profile=profile, started=time.perf_counter())
+    try:
+        _claim_and_replay(plan)
+        if warmup_insts is not None and batch_lanes is not None \
+                and plan.to_run:
+            from repro.sampler.batch import (
+                attach_batch_checkpoints,
+                resolve_batch_lanes,
+            )
+
+            lanes = resolve_batch_lanes(batch_lanes, len(plan.to_run))
+            if lanes > 1:
+                capture_started = time.perf_counter()
+                plan.divergences = attach_batch_checkpoints(
+                    tasks, plan.to_run, lanes=lanes,
+                    warmup_insts=warmup_insts,
+                    checkpoint_dir=checkpoint_dir,
+                )
+                plan.capture_seconds = (time.perf_counter()
+                                        - capture_started)
+        count(workload.name, campaigns=1, inputs=len(tasks),
+              cached=plan.n_cached)
+    except BaseException:
+        plan.release()
+        raise
+    return plan
 
 
-def finalize_campaign(plan: CampaignPlan) -> CampaignResult:
+def _claim_and_replay(plan: CampaignPlan) -> None:
+    """Sort a plan's inputs into cache hits, duplicates and ``to_run``.
+
+    All keys are claimed at once, before any is looked up, so no other
+    caller can store a key between its claim and its load, and an
+    identical campaign running concurrently waits for all of this plan's
+    inputs or none (splitting them would change the lane groups, and with
+    them the divergence events).  A hit releases its claim, a miss keeps it
+    until :meth:`CampaignPlan.fill`.  A key another caller holds makes the
+    input a duplicate that :func:`finalize_campaign` replays once that
+    caller is done — as does a key an earlier input of this campaign holds
+    (MicroWalk-style trace deduplication; requires a cache to clone the
+    outputs through).
+    """
+    cache = plan.cache
+    if cache is None:
+        plan.to_run = list(range(len(plan.tasks)))
+        return
+    plan.keys = [cache.key_for(task) for task in plan.tasks]
+    holders = cache.claim_many(plan.keys)
+    plan.claimed = {key for key, holder in holders.items() if holder is None}
+    plan.waiting = {key: holder for key, holder in holders.items()
+                    if holder is not None}
+    missed = set()
+    for index, key in enumerate(plan.keys):
+        if key in plan.waiting or key in missed:
+            plan.duplicate_of[index] = key
+            continue
+        output = cache.load(key)
+        if output is None:
+            missed.add(key)
+            plan.to_run.append(index)
+            continue
+        if key in plan.claimed:
+            plan.claimed.discard(key)
+            cache.release(key)
+        plan.outputs[index] = output
+        plan.n_cached += 1
+
+
+def finalize_campaign(plan: CampaignPlan, *,
+                      pool=None) -> CampaignResult:
     """Merge a fully executed plan into a :class:`CampaignResult`.
 
     Every ``to_run`` index must have been :meth:`~CampaignPlan.fill`-ed.
-    Duplicates are replayed from the cache (falling back to simulating if
-    the store failed), then all outputs merge **in input order** — the
-    deterministic merge from the parallel backend, so the result is
-    bit-identical no matter where or in what order shards executed.
+    Duplicates are replayed from the cache — after waiting for the caller
+    that simulates them, when that is someone else — falling back to
+    simulating (on ``pool``, when given) if nothing was stored.  Then all
+    outputs merge **in input order** — the deterministic merge from the
+    parallel backend, so the result is bit-identical no matter where or in
+    what order shards executed.
     """
+    name = plan.workload.name
     for index, key in plan.duplicate_of.items():
-        # Replay the stored twin; fall back to simulating if the store failed.
-        plan.outputs[index] = plan.cache.load(key) or execute_run(
-            plan.tasks[index])
+        holder = plan.waiting.get(key)
+        output = (plan.cache.await_claim(key, holder) if holder is not None
+                  else plan.cache.load(key))
+        if output is None:
+            # Nothing stored (the store or the other caller failed).
+            [(outputs, _seconds)] = execute_groups([[plan.tasks[index]]],
+                                                   pool=pool)
+            plan.fill(index, outputs[0])
+            continue
+        plan.outputs[index] = output
+        count(name, waited=int(holder is not None), cached=int(holder is None))
     missing = [index for index, output in enumerate(plan.outputs)
                if output is None]
     if missing:
@@ -399,8 +449,9 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     service's backend; overrides ``jobs``).
     ``cache`` is an optional :class:`~repro.sampler.trace_cache.TraceCache`
     (or ``True`` for the default directory): inputs simulated before — by
-    any backend — are replayed from it, and identical inputs inside one
-    campaign are simulated only once.  ``log_commits`` records each
+    any backend — are replayed from it, and identical inputs — inside one
+    campaign, or in flight for another caller of the same cache — are
+    simulated only once.  ``log_commits`` records each
     iteration's architectural ``(cycle, pc, mnemonic)`` commit stream for
     the localization phase (:mod:`repro.localize`).  ``warmup_insts``
     enables fast-forward checkpointing (``None`` = full simulation; see
@@ -428,7 +479,10 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
         batch_lanes=batch_lanes, profile=profile, pruned=pruned,
     )
-    fresh = execute_tasks(plan.pending_tasks, jobs=jobs, pool=pool)
-    for index, output in zip(plan.to_run, fresh):
-        plan.fill(index, output)
-    return finalize_campaign(plan)
+    try:
+        fresh = execute_tasks(plan.pending_tasks, jobs=jobs, pool=pool)
+        for index, output in zip(plan.to_run, fresh):
+            plan.fill(index, output)
+        return finalize_campaign(plan, pool=pool)
+    finally:
+        plan.release()

@@ -13,9 +13,9 @@ Two sweep families live here:
   capture, and the taint/publicness maps — execute exactly once and are
   handed (not re-derived) to every config leg; only the cycle-accurate
   simulation and the reachability projection are per-config.  Pending lane
-  groups from all legs fan out together over the process-pool or
-  :class:`~repro.sampler.exec_backend.WorkerPool` backends (``config ×
-  lane-group`` shards), and trace-cache hits never occupy a slot.  Each
+  groups from all legs fan out together over one
+  :class:`~repro.sampler.exec_backend.WorkerPool` (``config × lane-group``
+  shards), and trace-cache hits never occupy a slot.  Each
   leg's :class:`~repro.sampler.pipeline.LeakageReport` is bit-identical to
   running ``MicroSampler(config).analyze(workload)`` standalone with the
   same cache state — pinned by ``tests/test_config_sweep.py`` and
@@ -34,17 +34,11 @@ from __future__ import annotations
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
-from repro.sampler.exec_backend import (
-    _lane_groups,
-    _pool_context,
-    execute_run_batch,
-    resolve_jobs,
-)
+from repro.sampler.exec_backend import _lane_groups, execute_groups
 from repro.sampler.pipeline import LeakageReport, MicroSampler
 from repro.sampler.report import report_to_dict
 from repro.sampler.runner import (
@@ -163,8 +157,7 @@ class SweepLeg:
     #: capture, later legs degenerate to store loads.
     capture_seconds: float
     #: In-worker wall-clock of this leg's simulated lane groups (0 when all
-    #: inputs replayed from cache, or under a :class:`WorkerPool`, which
-    #: does not report per-shard timing).
+    #: inputs replayed from cache).
     execute_seconds: float
     #: finalize + statistics + root-cause extraction wall-clock.
     stats_seconds: float
@@ -339,38 +332,16 @@ def sweep_to_dict(result: SweepResult) -> dict:
     }
 
 
-def _timed_group(tasks) -> tuple:
-    """Worker entry: execute one lane group, reporting its in-worker wall.
-
-    Module-level so it pickles under every ``multiprocessing`` start
-    method.  The timing wrapper is observational — the outputs are exactly
-    :func:`execute_run_batch`'s, which is what keeps sweep legs
-    bit-identical to standalone campaigns.
-    """
-    started = time.perf_counter()
-    outputs = execute_run_batch(tasks)
-    return outputs, time.perf_counter() - started
-
-
 def _execute_shards(groups, *, jobs=1, pool=None) -> list:
     """Run lane groups (from any mix of config legs) in submission order.
 
-    Returns ``[(outputs, seconds), ...]`` aligned with ``groups``.  Mirrors
-    :func:`~repro.sampler.exec_backend.execute_tasks`'s backend selection:
-    a :class:`WorkerPool` gets one shard per group (seconds unavailable:
-    reported as 0), ``jobs > 1`` maps groups over a process pool, anything
-    else runs in-process.
+    Returns ``[(outputs, seconds), ...]`` aligned with ``groups``, where
+    ``seconds`` is the group's in-worker wall-clock (see
+    :func:`~repro.sampler.exec_backend.execute_groups`).  A function of
+    its own, not an alias, so a profiler that wraps both this and
+    ``runner.execute_tasks`` counts each dispatch once.
     """
-    if pool is not None and groups:
-        futures = [pool.submit(group) for group in groups]
-        return [(future.result(), 0.0) for future in futures]
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(groups) <= 1:
-        return [_timed_group(group) for group in groups]
-    workers = min(jobs, len(groups))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_pool_context()) as pool_:
-        return list(pool_.map(_timed_group, groups))
+    return execute_groups(groups, jobs=jobs, pool=pool)
 
 
 def sweep_configs(workload: Workload, configs, *,
@@ -409,8 +380,8 @@ def sweep_configs(workload: Workload, configs, *,
       ``cache`` through its checkpoint store, without one through a
       sweep-private temporary store;
     * the remaining cycle-accurate work fans out as ``config × lane-group``
-      shards over one backend (``jobs`` process pool or a ``pool``
-      :class:`~repro.sampler.exec_backend.WorkerPool`), so a slow leg
+      shards over one :class:`~repro.sampler.exec_backend.WorkerPool` (the
+      ``pool`` given, or one opened for ``jobs > 1``), so a slow leg
       cannot serialize the others and trace-cache hits never occupy a
       simulation slot.
     """
@@ -453,11 +424,11 @@ def sweep_configs(workload: Workload, configs, *,
         tempdir = tempfile.TemporaryDirectory(
             prefix="microsampler-sweep-ckpt-")
         checkpoint_dir = tempdir.name
+    samplers = []
+    taints = []
+    plans = []
+    plan_seconds = []
     try:
-        samplers = []
-        taints = []
-        plans = []
-        plan_seconds = []
         for config in configs:
             sampler = MicroSampler(
                 config, features=features, v_threshold=v_threshold,
@@ -488,26 +459,22 @@ def sweep_configs(workload: Workload, configs, *,
             plan_seconds.append(time.perf_counter() - started)
 
         # Fan-out: every leg's pending lane groups through one backend.
-        shards = []  # (leg index, lane group)
-        for leg_index, plan in enumerate(plans):
-            for group in _lane_groups(plan.pending_tasks):
-                shards.append((leg_index, group))
+        shards = [(leg_index, group) for leg_index, plan in enumerate(plans)
+                  for group in _lane_groups(plan.pending_tasks)]
         shard_results = _execute_shards([group for _, group in shards],
                                         jobs=jobs, pool=pool)
-        leg_outputs: dict = {index: [] for index in range(len(plans))}
         leg_exec_seconds = [0.0] * len(plans)
-        for (leg_index, _), (outputs, seconds) in zip(shards, shard_results):
-            leg_outputs[leg_index].extend(outputs)
+        for (leg_index, group), (outputs, seconds) in zip(shards,
+                                                          shard_results):
+            for task, output in zip(group, outputs):
+                plans[leg_index].fill(task.run_index, output)
             leg_exec_seconds[leg_index] += seconds
-        for leg_index, plan in enumerate(plans):
-            for index, output in zip(plan.to_run, leg_outputs[leg_index]):
-                plan.fill(index, output)
 
         # Per-leg merge + statistics (stages 3-4 are config-specific).
         legs = []
         for leg_index, plan in enumerate(plans):
             stats_started = time.perf_counter()
-            campaign = finalize_campaign(plan)
+            campaign = finalize_campaign(plan, pool=pool)
             report = samplers[leg_index].analyze_campaign(
                 campaign, taint=taints[leg_index])
             legs.append(SweepLeg(
@@ -522,6 +489,8 @@ def sweep_configs(workload: Workload, configs, *,
                 n_simulated=len(plan.to_run),
             ))
     finally:
+        for plan in plans:
+            plan.release()
         if tempdir is not None:
             tempdir.cleanup()
 

@@ -22,14 +22,24 @@ Entries are stored one file per key under ``root/<key[:2]>/<key>.pkl``
 :func:`repro.trace.tracer.iteration_to_payload`), written atomically so
 concurrent workers can share a cache directory.  Any unreadable, corrupt or
 version-mismatched entry is treated as a miss.
+
+The cache also deduplicates work still *in flight*.  Campaign planning
+(:func:`~repro.sampler.runner.prepare_campaign`) claims all of a campaign's
+keys at once, before it looks any of them up; a caller that finds a key claimed by another caller on
+the same :class:`TraceCache` waits for that caller to store it and replays
+the entry instead of simulating it again — MicroWalk's content-addressed
+trace dedup applied to work that has not finished yet.  So concurrent
+service jobs, sweeps or threads sharing one cache simulate each key once.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import os
 import pickle
 import tempfile
+import threading
 from pathlib import Path
 
 import repro
@@ -197,6 +207,10 @@ class TraceCache:
 
     Lookups and stores never raise on I/O problems: a cache must only ever
     make a campaign faster, not able to fail it.
+
+    Claims (:meth:`claim_many` / :meth:`release`) are thread-safe and each is
+    backed by a :class:`concurrent.futures.Future` that resolves when the
+    claimer releases the key.
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -204,6 +218,53 @@ class TraceCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Waiters that replayed a key another caller simulated for them.
+        self.dedup_inflight_hits = 0
+        self._claims: dict[str, concurrent.futures.Future] = {}
+        self._claims_lock = threading.Lock()
+
+    @property
+    def inflight_keys(self) -> int:
+        """Keys currently claimed for simulation."""
+        return len(self._claims)
+
+    def claim_many(self, keys) -> dict:
+        """Claim every key in ``keys`` at once.
+
+        Returns ``{key: holder}`` with ``holder`` None for each key the
+        caller now holds (and must :meth:`release`), or the holder's future
+        where another caller already does.  One lock acquisition covers all
+        the keys, so two identical campaigns never split their inputs: one
+        wins every key, the other waits on every key.
+        """
+        with self._claims_lock:
+            holders = {key: self._claims.get(key) for key in keys}
+            for key, holder in holders.items():
+                if holder is None:
+                    self._claims[key] = concurrent.futures.Future()
+        return holders
+
+    def release(self, key: str) -> None:
+        """Drop the caller's claim on ``key`` and wake its waiters."""
+        with self._claims_lock:
+            holder = self._claims.pop(key, None)
+        if holder is not None:
+            holder.set_result(None)
+
+    def await_claim(self, key: str,
+                    holder: concurrent.futures.Future) -> RunOutput | None:
+        """Wait for another caller's claim on ``key``, then replay its entry.
+
+        Each waiter loads its own copy: outputs are never shared, because
+        the merge re-stamps records in place.  None means the claimer
+        stored nothing (it failed or was cancelled).
+        """
+        holder.result()
+        output = self.load(key)
+        if output is not None:
+            with self._claims_lock:
+                self.dedup_inflight_hits += 1
+        return output
 
     def key_for(self, task: RunTask) -> str:
         return task_key(task)
@@ -232,27 +293,34 @@ class TraceCache:
         it) is recorded in the payload for the per-config ``cache stats``
         breakdown; it does not affect the key or replay.
         """
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(_output_to_payload(output, config),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                            prefix=f".{key}.")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+        payload = pickle.dumps(_output_to_payload(output, config),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        if not write_atomic(self._path(key), payload):
             return False
         self.stores += 1
         return True
+
+
+def write_atomic(path: Path, data: bytes) -> bool:
+    """Write ``data`` to ``path`` through a same-directory temporary file
+    and a rename, so readers never see a partial entry; best-effort."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
+                                        prefix=f".{path.stem}.")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False
+    return True
 
 
 # -- maintenance (``microsampler cache``) -----------------------------------

@@ -2,70 +2,50 @@
 
 A *job* is one analyze/localize/audit request from one tenant.  The
 :class:`JobManager` owns the lifecycle: validated submission → priority
-queue → campaign preparation → shard dispatch on the persistent worker
-pool → verdict computation → result.
+queue → one library call in a worker thread, simulating on the shared
+worker pool → result.
 
 Consistency contract
 --------------------
 A job's result is **bit-identical** to the equivalent one-shot CLI
 invocation (``microsampler analyze/localize/audit ... --json``), modulo
 wall-clock fields (scrub with :func:`strip_volatile`).  The mechanism:
-shards simulate on the pool and their outputs land in the shared
-content-addressed trace cache; the final verdict is then computed by the
-*same library entry points the CLI uses* (``MicroSampler.analyze``,
-``repro.localize.localize``, ``run_audit``), which replay those cache
-entries through the deterministic input-order merge.  The service adds
-placement and scheduling, never a second result path.
+each job calls the *same library entry point the CLI uses*
+(``MicroSampler.analyze``, ``repro.localize.localize``, ``run_audit``)
+exactly once, with a :class:`~repro.sampler.pipeline.MicroSampler` that
+simulates on the service's :class:`~repro.sampler.exec_backend.WorkerPool`
+and shares its trace cache.  The pool runs the same executor as
+``--jobs N`` and the deterministic input-order merge makes placement
+invisible, so the service adds scheduling, never a second result path.
 
 Cross-tenant dedup
 ------------------
 Identical (program, input, config) work anywhere in the fleet is one
-simulation.  Three tiers, counted separately in ``job.stats``:
+simulation: the shared trace cache is the dedup index, and its claims
+(see :mod:`repro.sampler.trace_cache`) cover work still in flight.  Three
+tiers, counted separately in ``job.stats``:
 
 * ``shards_cached`` — the trace cache already held the input (any earlier
   job, any backend, even a one-shot CLI run against the same cache dir).
 * ``shards_deduped`` — another *in-flight* job claimed the identical
-  input first; this job awaits that shard and replays the stored result.
+  input first; this job waits for it and replays the stored result.
 * ``shards_simulated`` — fresh work this job dispatched to the pool.
 
-Cache-served inputs never occupy a simulation slot.
+Cache-served inputs never occupy a simulation slot.  The counts and the
+``progress`` events come from the runner through
+:data:`~repro.sampler.exec_backend.COUNTER_SINK`, which each job sets in
+its own worker thread.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import threading
 from dataclasses import dataclass, fields
 
-from repro.sampler.exec_backend import _lane_groups
-from repro.sampler.runner import prepare_campaign
+from repro.sampler.exec_backend import COUNTER_SINK
 from repro.service.queue import PriorityJobQueue
-from repro.service.shard import shard_size_for
-
-
-def _plan_shards(claimed: list, tasks: list, size: int) -> list[list]:
-    """Pack claimed task indices into shards without splitting lane groups.
-
-    Tasks stamped with ``core_lanes`` must reach one worker together to
-    simulate as a lockstep batch (their cache keys promise lane-batched
-    outputs), so shards are built from whole lane groups; a group larger
-    than the target shard size becomes its own oversized shard.
-    """
-    index_groups: list[list] = []
-    cursor = 0
-    for lane_group in _lane_groups([tasks[index] for index in claimed]):
-        index_groups.append(claimed[cursor:cursor + len(lane_group)])
-        cursor += len(lane_group)
-    shards: list[list] = []
-    current: list = []
-    for group in index_groups:
-        if current and len(current) + len(group) > size:
-            shards.append(current)
-            current = []
-        current.extend(group)
-    if current:
-        shards.append(current)
-    return shards
 
 JOB_KINDS = ("analyze", "localize", "audit")
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -75,6 +55,17 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: excluded from bit-identity comparisons between service and one-shot
 #: results.  ``seconds`` is the per-entry audit timing.
 VOLATILE_KEYS = frozenset({"timings_seconds", "profile", "seconds"})
+
+#: ``job.stats`` field for each runner counter event (see
+#: :data:`~repro.sampler.exec_backend.COUNTER_SINK`).
+JOB_STAT_FOR_EVENT = {
+    "campaigns": "campaigns",
+    "inputs": "inputs_total",
+    "dispatched": "shards_dispatched",
+    "cached": "shards_cached",
+    "waited": "shards_deduped",
+    "simulated": "shards_simulated",
+}
 
 
 def strip_volatile(value):
@@ -119,9 +110,7 @@ class JobSpec:
     #: CLI's ``none``/``full``/int forms.
     warmup_insts: object = "default"
     #: lockstep lane batching (functional prepass + lane-batched
-    #: cycle-accurate core).  Joins every task's trace-cache key via
-    #: ``core_lanes``, so shard planning must keep lane groups whole —
-    #: see :meth:`JobManager._warm_campaign`.
+    #: cycle-accurate core); each lane group is one pool shard.
     batch_lanes: object = "auto"
     no_timing_removed: bool = False
     #: secret-taint publicness prescreen (``--taint on``): prune tracing,
@@ -206,14 +195,7 @@ class Job:
         self.state = "queued"
         self.error: str | None = None
         self.result: dict | None = None
-        self.stats = {
-            "campaigns": 0,
-            "inputs_total": 0,
-            "shards_dispatched": 0,
-            "shards_cached": 0,
-            "shards_deduped": 0,
-            "shards_simulated": 0,
-        }
+        self.stats = dict.fromkeys(JOB_STAT_FOR_EVENT.values(), 0)
         self.events: list[dict] = []
         self.task: asyncio.Task | None = None
         #: Global start ordinal (scheduler dequeue order); None until run.
@@ -263,27 +245,25 @@ class Job:
         return payload
 
 
+class JobCancelled(Exception):
+    """Raised inside a cancelled job's worker thread at its next count."""
+
+
 class JobManager:
     """Schedules jobs over one worker pool and one shared trace cache."""
 
-    def __init__(self, *, pool, cache, max_active: int = 2,
-                 shard_size: int | None = None):
+    def __init__(self, *, pool, cache, max_active: int = 2):
         if cache is None:
             raise ValueError(
                 "the campaign service requires a trace cache: it is the "
                 "dedup index and the shard-result transport")
         self.pool = pool
         self.cache = cache
-        self.shard_size = shard_size
         self._jobs: dict[str, Job] = {}
         self._queue = PriorityJobQueue()
         self._active = asyncio.Semaphore(max_active)
         self._counter = itertools.count(1)
         self._start_counter = itertools.count(1)
-        #: cache key -> asyncio.Future resolved when the claiming job has
-        #: stored that input's output (the cross-job dedup registry).
-        self._inflight: dict[str, asyncio.Future] = {}
-        self.dedup_inflight_hits = 0
         self._scheduler_task: asyncio.Task | None = None
         self._closing = False
 
@@ -329,8 +309,8 @@ class JobManager:
         return {
             "jobs": {"total": len(self._jobs), **states},
             "queue_depth": len(self._queue),
-            "inflight_keys": len(self._inflight),
-            "dedup_inflight_hits": self.dedup_inflight_hits,
+            "inflight_keys": self.cache.inflight_keys,
+            "dedup_inflight_hits": self.cache.dedup_inflight_hits,
             "pool": self.pool.stats(),
             "cache": {"hits": self.cache.hits, "misses": self.cache.misses,
                       "stores": self.cache.stores,
@@ -393,242 +373,90 @@ class JobManager:
 
     # -- execution ----------------------------------------------------------
 
-    def _resolve_config(self, spec: JobSpec):
-        from repro.uarch.config import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM
+    async def _execute(self, job: Job) -> dict:
+        """Run the job's one library call in a worker thread.
 
-        config = {"mega": MEGA_BOOM, "medium": MEDIUM_BOOM,
-                  "small": SMALL_BOOM}[spec.config]
-        overrides = {}
-        if spec.fast_bypass:
-            overrides["fast_bypass"] = True
-        if spec.variable_div:
-            overrides["variable_div_latency"] = True
-        return config.with_(**overrides) if overrides else config
+        The thread's counter sink adds the runner's counts to ``job.stats``
+        and emits ``progress`` events on the loop; once the job is
+        cancelled it raises :class:`JobCancelled` instead, so the call
+        stops at its next count and releases its cache claims.
+        """
+        loop = asyncio.get_running_loop()
+        cancelled = threading.Event()
 
-    def _make_sampler(self, spec: JobSpec):
+        def record(workload_name: str, counts: dict) -> None:
+            if job.terminal:
+                return
+            for event, value in counts.items():
+                job.stats[JOB_STAT_FOR_EVENT[event]] += value
+            job.emit("progress", workload=workload_name,
+                     stats=dict(job.stats))
+
+        def sink(workload_name: str, counts: dict) -> None:
+            if cancelled.is_set():
+                raise JobCancelled(job.id)
+            loop.call_soon_threadsafe(record, workload_name, counts)
+
+        def work() -> dict:
+            token = COUNTER_SINK.set(sink)
+            try:
+                return self._run_spec(job.spec)
+            finally:
+                COUNTER_SINK.reset(token)
+
+        try:
+            return await loop.run_in_executor(None, work)
+        except asyncio.CancelledError:
+            cancelled.set()
+            raise
+
+    def _run_spec(self, spec: JobSpec) -> dict:
+        """The library entry point the CLI verb calls, called once."""
+        from repro.cli import (
+            AUDIT_EXPECTATIONS,
+            AUDIT_TAINT_EXPECTATIONS,
+            _resolve_config,
+            build_workload,
+        )
         from repro.sampler.pipeline import MicroSampler
 
-        return MicroSampler(
-            self._resolve_config(spec),
+        sampler = MicroSampler(
+            # The spec names its knobs like the CLI flags they mirror.
+            _resolve_config(spec),
             warmup_iterations=0,
             analyze_timing_removed=not spec.no_timing_removed,
-            jobs=1,
+            pool=self.pool,
             cache=self.cache,
             warmup_insts=spec.resolve_warmup_insts(),
             batch_lanes=spec.batch_lanes,
             engine=spec.engine,
             taint=spec.taint,
         )
-
-    async def _execute(self, job: Job) -> dict:
-        spec = job.spec
-        sampler = self._make_sampler(spec)
+        names = ([spec.workload] if spec.kind != "audit"
+                 else list(spec.workloads) or list(AUDIT_EXPECTATIONS))
+        workloads = [build_workload(name, inputs=spec.inputs,
+                                    seed=spec.seed) for name in names]
         if spec.kind == "analyze":
-            return await self._execute_analyze(job, sampler)
+            from repro.sampler.report import report_to_dict
+
+            return report_to_dict(sampler.analyze(workloads[0]))
         if spec.kind == "localize":
-            return await self._execute_localize(job, sampler)
-        return await self._execute_audit(job, sampler)
+            from repro.localize import localization_to_dict, localize
+            from repro.localize.attribution import DEFAULT_PERMUTATIONS
 
-    async def _pruned_for(self, sampler, workload) -> tuple:
-        """The taint prescreen's pruned-unit set for one campaign.
-
-        With taint on, ``sampler.analyze`` prunes those units' tracing —
-        which changes the trace-cache keys, so the warm campaign must be
-        planned with the identical pruned set or every shard misses.
-        """
-        if not getattr(sampler, "taint", False):
-            return ()
-        summary = await self._in_thread(sampler.compute_taint, workload)
-        return summary.pruned
-
-    async def _execute_analyze(self, job: Job, sampler) -> dict:
-        from repro.cli import build_workload
-        from repro.sampler.report import report_to_dict
-
-        workload = build_workload(job.spec.workload, inputs=job.spec.inputs,
-                                  seed=job.spec.seed)
-        await self._warm_campaign(job, workload, sampler,
-                                  features=sampler.features,
-                                  pruned=await self._pruned_for(sampler,
-                                                                workload))
-        report = await self._in_thread(sampler.analyze, workload)
-        return report_to_dict(report)
-
-    async def _execute_localize(self, job: Job, sampler) -> dict:
-        from repro.cli import build_workload
-        from repro.localize import localization_to_dict, localize
-        from repro.localize.attribution import DEFAULT_PERMUTATIONS
-
-        workload = build_workload(job.spec.workload, inputs=job.spec.inputs,
-                                  seed=job.spec.seed)
-        # Phase 1 (detection) — same campaign shape as an analyze job.
-        await self._warm_campaign(job, workload, sampler,
-                                  features=sampler.features,
-                                  pruned=await self._pruned_for(sampler,
-                                                                workload))
-        report = await self._in_thread(sampler.analyze, workload)
-        targets = tuple(report.leaky_units)
-        job.emit("phase", phase="detect", leaky_units=list(targets))
-        if targets:
-            # Phase 2 — the localization campaign localize() will replay:
-            # flagged units only, raw rows + commit logs retained.
-            await self._warm_campaign(job, workload, sampler,
-                                      features=targets, keep_raw=True,
-                                      log_commits=True)
-        localization = await self._in_thread(
-            lambda: localize(
-                workload, sampler=sampler, report=report,
-                permutations=(job.spec.permutations
-                              if job.spec.permutations is not None
-                              else DEFAULT_PERMUTATIONS),
-            ))
-        return localization_to_dict(localization)
-
-    async def _execute_audit(self, job: Job, sampler) -> dict:
-        from repro.cli import (
-            AUDIT_EXPECTATIONS,
-            AUDIT_TAINT_EXPECTATIONS,
-            build_workload,
-        )
+            return localization_to_dict(localize(
+                workloads[0], sampler=sampler,
+                permutations=(spec.permutations
+                              if spec.permutations is not None
+                              else DEFAULT_PERMUTATIONS)))
         from repro.sampler.audit import audit_to_dict, run_audit
 
-        names = list(job.spec.workloads) or list(AUDIT_EXPECTATIONS)
-        workloads = [build_workload(name, inputs=job.spec.inputs,
-                                    seed=job.spec.seed) for name in names]
         expectations = {name: AUDIT_EXPECTATIONS[name]
                         for name in names if name in AUDIT_EXPECTATIONS}
         taint_expectations = ({name: AUDIT_TAINT_EXPECTATIONS[name]
                                for name in names
                                if name in AUDIT_TAINT_EXPECTATIONS}
-                              if job.spec.taint else {})
-        for workload in workloads:
-            await self._warm_campaign(job, workload, sampler,
-                                      features=sampler.features,
-                                      pruned=await self._pruned_for(
-                                          sampler, workload))
-            job.emit("workload", name=workload.name)
-        result = await self._in_thread(
-            lambda: run_audit(workloads, config=sampler.config,
-                              expectations=expectations, sampler=sampler,
-                              taint_expectations=taint_expectations))
-        return audit_to_dict(result)
-
-    # -- sharded campaign execution ----------------------------------------
-
-    async def _warm_campaign(self, job: Job, workload, sampler, *,
-                             features, keep_raw=(),
-                             log_commits: bool = False,
-                             pruned=()) -> None:
-        """Simulate one campaign's fresh inputs on the pool, into the cache.
-
-        Mirrors exactly the campaign ``run_campaign`` will replay when the
-        verdict is computed: same features/raw/commit-log settings, same
-        fast-forward and batching knobs, same cache.  Cache hits are left
-        where they are (no slot), in-flight twins are awaited (dedup), and
-        only genuinely fresh inputs become pool shards.
-
-        Shard planning is lane-aware: tasks stamped with ``core_lanes``
-        simulate as one lockstep :class:`~repro.uarch.batch_core.BatchCore`
-        group, so a shard boundary must never split a lane group — the
-        worker batches whatever whole groups land in its shard, and the
-        cached outputs stay bit-identical to the one-shot CLI run (the
-        consistency contract).
-        """
-        plan = await self._in_thread(
-            lambda: prepare_campaign(
-                workload, sampler.config, features=features,
-                keep_raw=keep_raw, log_commits=log_commits,
-                cache=self.cache, warmup_insts=sampler.warmup_insts,
-                batch_lanes=sampler.batch_lanes, pruned=pruned,
-            ))
-        job.stats["campaigns"] += 1
-        job.stats["inputs_total"] += len(plan.tasks)
-        job.stats["shards_cached"] += (plan.n_cached
-                                       + len(plan.duplicate_of))
-        if not plan.to_run:
-            job.emit("progress", workload=workload.name,
-                     stats=dict(job.stats))
-            return
-
-        # Partition fresh work: inputs claimed by another in-flight job are
-        # awaited instead of re-simulated.  Claim ours atomically (no await
-        # between check and registration — we are single-threaded here).
-        loop = asyncio.get_running_loop()
-        claimed: list[int] = []
-        waiting: list[tuple[int, str, asyncio.Future]] = []
-        registered: dict[str, asyncio.Future] = {}
-        for index in plan.to_run:
-            key = plan.keys[index] if plan.keys is not None else None
-            if key is not None and key in self._inflight:
-                waiting.append((index, key, self._inflight[key]))
-                continue
-            if key is not None:
-                # Re-check the cache: another job may have stored this key
-                # after our prepare's lookup missed but before we claimed.
-                late_hit = self.cache.load(key)
-                if late_hit is not None:
-                    plan.outputs[index] = late_hit
-                    job.stats["shards_cached"] += 1
-                    continue
-                future = loop.create_future()
-                self._inflight[key] = future
-                registered[key] = future
-            claimed.append(index)
-
-        def _release(key: str) -> None:
-            future = registered.get(key)
-            if future is None:
-                return
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
-            if not future.done():
-                future.set_result(True)
-
-        try:
-            size = self.shard_size or shard_size_for(
-                len(claimed), self.pool.n_workers)
-            groups = _plan_shards(claimed, plan.tasks, size)
-            shard_futures = [
-                (group, asyncio.wrap_future(
-                    self.pool.submit([plan.tasks[index]
-                                      for index in group])))
-                for group in groups
-            ]
-            job.stats["shards_dispatched"] += len(groups)
-            for group, future in shard_futures:
-                outputs = await future
-                for index, output in zip(group, outputs):
-                    plan.fill(index, output)  # stores into the cache
-                    if plan.keys is not None:
-                        _release(plan.keys[index])
-                job.stats["shards_simulated"] += len(group)
-                job.emit("progress", workload=workload.name,
-                         stats=dict(job.stats))
-            for index, key, future in waiting:
-                await future
-                output = self.cache.load(key)
-                if output is None:
-                    # The claiming job failed or its store did not land:
-                    # simulate this input ourselves rather than failing.
-                    outputs = await asyncio.wrap_future(
-                        self.pool.submit([plan.tasks[index]]))
-                    plan.fill(index, outputs[0])
-                    job.stats["shards_dispatched"] += 1
-                    job.stats["shards_simulated"] += 1
-                else:
-                    plan.outputs[index] = output
-                    job.stats["shards_deduped"] += 1
-                    self.dedup_inflight_hits += 1
-            job.emit("progress", workload=workload.name,
-                     stats=dict(job.stats))
-        finally:
-            # Resolve whatever we still hold so dedup waiters in other jobs
-            # fall back to simulating instead of hanging (failure/cancel).
-            for key in registered:
-                _release(key)
-
-    @staticmethod
-    async def _in_thread(func, *args):
-        """Run blocking pipeline work off the event loop."""
-        return await asyncio.get_running_loop().run_in_executor(
-            None, lambda: func(*args))
+                              if spec.taint else {})
+        return audit_to_dict(run_audit(
+            workloads, config=sampler.config, expectations=expectations,
+            sampler=sampler, taint_expectations=taint_expectations))

@@ -448,15 +448,30 @@ def test_batch_capture_returns_none_without_roi_marker(sum_program):
     assert divergences == []
 
 
-def test_checkpoint_key_covers_batch_lanes():
-    """Scalar and batched captures never share a store entry."""
-    workload = make_sam_ct(n_keys=1)
-    program = patch_program(workload.assemble(), workload.inputs[0])
-    scalar = checkpoint_key(program, None, 64)
-    assert scalar == checkpoint_key(program, None, 64, batch_lanes=None)
-    batched = checkpoint_key(program, None, 64, batch_lanes=8)
-    assert batched != scalar
-    assert batched != checkpoint_key(program, None, 64, batch_lanes=16)
+def test_batch_modes_share_checkpoints(tmp_path, monkeypatch):
+    """``--batch-lanes auto`` and ``off`` share one checkpoint per task: an
+    ``off`` run after an ``auto`` run on the same cache captures nothing
+    and reports bit-identically."""
+    import repro.sampler.checkpoint as checkpoint_module
+    from repro.sampler.report import report_to_dict
+
+    workload = with_bootstrap(make_sam_ct(n_keys=4), insts=500)
+    cache = TraceCache(tmp_path)
+
+    def report(batch_lanes):
+        sampler = MicroSampler(SMALL_BOOM, cache=cache, warmup_insts=64,
+                               batch_lanes=batch_lanes)
+        return _scrub_timings(report_to_dict(sampler.analyze(workload)))
+
+    batched = report("auto")
+    assert list(tmp_path.rglob("*.ckpt"))
+    captures = []
+    for name in ("capture_checkpoint", "capture_checkpoints_batch"):
+        monkeypatch.setattr(checkpoint_module, name,
+                            lambda *args, _name=name, **kwargs:
+                            captures.append(_name))
+    assert report(None) == batched
+    assert captures == []
 
 
 def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
@@ -479,8 +494,8 @@ def test_attach_batch_checkpoints_reuses_the_store(tmp_path, monkeypatch):
                                            warmup_insts=64,
                                            checkpoint_dir=checkpoint_dir)
     assert divergences == []
-    assert all(task.batch_lanes == 4 and task.checkpoint is not None
-               for task in tasks)
+    assert all(task.checkpoint_key is not None
+               and task.checkpoint is not None for task in tasks)
 
     # A second campaign over the same inputs must be served entirely from
     # the store — no re-capture.

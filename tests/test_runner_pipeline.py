@@ -290,3 +290,27 @@ class TestBatchLockstepCampaign:
         assert off.divergences == []
         assert report.leakage_detected == off.leakage_detected
         assert report.leaky_units == off.leaky_units
+
+    def test_divergent_prologue_events_depend_on_cache_history(self,
+                                                               tmp_path):
+        """Pins a known gap: ``--batch-lanes off`` and ``auto`` share
+        checkpoints, so an ``auto`` run after an ``off`` run on one cache
+        loads them, captures nothing, and reports only the core's
+        divergence event where a cold ``auto`` run reports two.  Storing
+        the prepass events with the checkpoints should make this two."""
+        from repro.sampler import TraceCache
+
+        workload = Workload(
+            name="divergent-prologue",
+            source=_DIVERGENT_PROLOGUE,
+            inputs=[{"key": bytes([k])} for k in (0, 1, 2, 3)],
+        )
+        cache = TraceCache(tmp_path)
+        off = MicroSampler(SMALL_BOOM, warmup_insts=64,
+                           cache=cache).analyze(workload)
+        assert off.divergences == []
+        auto = MicroSampler(SMALL_BOOM, warmup_insts=64, batch_lanes="auto",
+                            cache=cache).analyze(workload)
+        assert len(auto.divergences) == 1
+        assert auto.divergences[0].kind == "branch"
+        assert auto.divergences[0].lanes == (1, 2, 3)

@@ -29,11 +29,9 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     ServiceServer,
-    place_shards,
     strip_volatile,
     submit_and_wait,
 )
-from repro.service.shard import shard_size_for
 from repro.uarch import SMALL_BOOM
 
 pytestmark = pytest.mark.skipif(
@@ -139,30 +137,6 @@ def test_queue_pop_wakes_on_push():
     asyncio.run(_main())
 
 
-# -- shard placement ---------------------------------------------------------
-
-
-def test_shard_size_for_balances_across_workers():
-    assert shard_size_for(0, 4) == 1
-    assert shard_size_for(8, 4) == 1    # one input per slot, 2x slack
-    assert shard_size_for(32, 2) == 8   # capped at DEFAULT_MAX_SHARD_TASKS
-    assert shard_size_for(100, 1, max_shard_tasks=4) == 4
-    assert shard_size_for(5, 2) == 2
-
-
-def test_place_shards_buckets_inputs():
-    plan = SimpleNamespace(
-        outputs=[object(), None, None, None, object(), None],
-        duplicate_of={5: 1},
-        to_run=[1, 2, 3],
-    )
-    placement = place_shards(plan, workers=1, shard_size=2)
-    assert placement.cached == (0, 4)
-    assert placement.duplicates == (5,)
-    assert placement.shards == ((1, 2), (3,))
-    assert placement.n_inputs == 6
-
-
 # -- spec validation & volatile stripping ------------------------------------
 
 
@@ -219,6 +193,39 @@ def test_service_analyze_matches_oneshot():
     final = run_service(scenario)
     assert strip_volatile(final["result"]) \
         == strip_volatile(oneshot_analyze("sam-ct"))
+
+
+def test_service_job_calls_the_library_once(monkeypatch):
+    """A cold ``analyze --taint on`` job runs the taint witness once and
+    keys each input once: no warm-then-replay round trip."""
+    import repro.taint
+    from repro.sampler.trace_cache import TraceCache
+
+    calls = {"compute_publicness": 0, "key_for": 0}
+    compute_publicness = repro.taint.compute_publicness
+    key_for = TraceCache.key_for
+
+    def counting_publicness(*args, **kwargs):
+        calls["compute_publicness"] += 1
+        return compute_publicness(*args, **kwargs)
+
+    def counting_key_for(self, task):
+        calls["key_for"] += 1
+        return key_for(self, task)
+
+    monkeypatch.setattr(repro.taint, "compute_publicness",
+                        counting_publicness)
+    monkeypatch.setattr(TraceCache, "key_for", counting_key_for)
+    spec = {"kind": "analyze", "workload": "chacha20", "config": "small",
+            "inputs": 8, "taint": True}
+
+    async def scenario(server, client):
+        return await submit_and_wait(client, spec, timeout=240)
+
+    final = run_service(scenario)
+    assert final["state"] == "done"
+    assert final["stats"]["shards_simulated"] == 8
+    assert calls == {"compute_publicness": 1, "key_for": 8}
 
 
 def test_cached_replay_never_occupies_a_simulation_slot():

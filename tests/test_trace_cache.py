@@ -130,8 +130,7 @@ class TestKeying:
             patch_program(workload.assemble(), workload.inputs[0]),
             warmup_insts=64)
         assert task_key(base) == task_key(
-            _task(workload, warmup_insts=64, batch_lanes=8,
-                  checkpoint=checkpoint))
+            _task(workload, warmup_insts=64, checkpoint=checkpoint))
 
 
 class TestReplay:
@@ -229,6 +228,135 @@ class TestReplay:
         assert cold.cramers_v_by_unit() == warm.cramers_v_by_unit()
         assert cold.units["ROB-PC"].association.p_value == \
             warm.units["ROB-PC"].association.p_value
+
+
+class TestInflightClaims:
+    """Callers sharing one cache simulate each key once, even while the
+    first simulation is still running."""
+
+    def test_concurrent_analyze_simulates_each_input_once(self, cache):
+        import multiprocessing
+        import threading
+
+        from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
+        from repro.sampler.exec_backend import WorkerPool
+        from repro.sampler.report import report_to_dict
+        from repro.service import strip_volatile
+        from repro.workloads.modexp import make_sam_ct
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the worker pool relies on fork")
+        workload = make_sam_ct(n_keys=4)
+        knobs = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
+        oneshot = report_to_dict(
+            MicroSampler(SMALL_BOOM, **knobs).analyze(workload))
+        barrier = threading.Barrier(2)
+        reports = []
+
+        with WorkerPool(2) as pool:
+            def analyze():
+                sampler = MicroSampler(SMALL_BOOM, cache=cache, pool=pool,
+                                       **knobs)
+                barrier.wait()
+                reports.append(report_to_dict(sampler.analyze(workload)))
+
+            threads = [threading.Thread(target=analyze) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            stats = pool.stats()
+        assert len(reports) == 2
+        assert stats["tasks_completed"] == len(workload.inputs)
+        assert cache.inflight_keys == 0
+        for report in reports:
+            assert strip_volatile(report) == strip_volatile(oneshot)
+
+    def test_identical_divergent_campaigns_never_split(self, cache,
+                                                       monkeypatch):
+        """Two identical campaigns on a workload whose lanes diverge: one
+        simulates every input and the other waits for all of them, so both
+        reports — divergence events included — equal a one-shot run's.
+        Slow loads give the callers every chance to interleave."""
+        import threading
+        import time as time_module
+
+        from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
+        from repro.sampler.report import report_to_dict
+        from repro.service import strip_volatile
+        from repro.workloads.modexp import make_sam_leaky
+
+        workload = make_sam_leaky(n_keys=2)
+        knobs = dict(warmup_insts=DEFAULT_WARMUP_INSTS, batch_lanes="auto")
+        oneshot = strip_volatile(report_to_dict(
+            MicroSampler(SMALL_BOOM, **knobs).analyze(workload)))
+        assert oneshot["divergences"]
+        load = cache.load
+
+        def slow_load(key):
+            time_module.sleep(0.05)
+            return load(key)
+
+        monkeypatch.setattr(cache, "load", slow_load)
+        barrier = threading.Barrier(2)
+        reports = []
+
+        def analyze():
+            sampler = MicroSampler(SMALL_BOOM, cache=cache, **knobs)
+            barrier.wait()
+            reports.append(report_to_dict(sampler.analyze(workload)))
+
+        threads = [threading.Thread(target=analyze) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert len(reports) == 2
+        assert cache.stores == len(workload.inputs)
+        assert cache.dedup_inflight_hits == len(workload.inputs)
+        for report in reports:
+            assert strip_volatile(report) == oneshot
+
+    def test_failed_claimer_releases_and_waiter_simulates(self, cache):
+        import threading
+
+        from repro.sampler.runner import finalize_campaign, prepare_campaign
+
+        workload = _workload()
+        claimed = threading.Event()
+        proceed = threading.Event()
+        errors = []
+
+        class FailingPool:
+            """Holds the claims until told to fail, then raises."""
+
+            def submit(self, group):
+                claimed.set()
+                proceed.wait(60)
+                raise RuntimeError("claimer failed")
+
+        def claimer():
+            try:
+                run_campaign(workload, SMALL_BOOM, cache=cache,
+                             pool=FailingPool())
+            except RuntimeError as error:
+                errors.append(error)
+
+        thread = threading.Thread(target=claimer)
+        thread.start()
+        assert claimed.wait(60)
+        plan = prepare_campaign(workload, SMALL_BOOM, cache=cache)
+        assert plan.to_run == []
+        assert len(plan.waiting) == len(workload.inputs)
+        proceed.set()
+        thread.join(60)
+        assert [str(error) for error in errors] == ["claimer failed"]
+        assert cache.inflight_keys == 0
+        waited = finalize_campaign(plan)
+        assert cache.dedup_inflight_hits == 0
+        assert cache.stores == len(workload.inputs)
+        assert_campaigns_identical(
+            run_campaign(workload, SMALL_BOOM), waited)
 
 
 class TestPrune:
