@@ -157,15 +157,6 @@ def _add_taint_argument(parser) -> None:
              "Verdicts are bit-identical to 'off' (default: off)")
 
 
-def _add_engine_argument(parser) -> None:
-    parser.add_argument("--engine", choices=["python", "numpy"],
-                        default="numpy",
-                        help="statistics engine: 'numpy' scores all units "
-                             "with vectorized columnar kernels; 'python' is "
-                             "the scalar reference implementation (results "
-                             "agree to within 1e-9)")
-
-
 def _add_profile_argument(parser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="record a per-stage simulator time breakdown "
@@ -307,7 +298,6 @@ def cmd_analyze(args) -> int:
         cache=cache,
         warmup_insts=getattr(args, "warmup_insts", None),
         batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
         measure_mi=getattr(args, "mi", False),
         profile=getattr(args, "profile", False),
         taint=getattr(args, "taint", "off") == "on",
@@ -364,7 +354,6 @@ def cmd_sweep(args) -> int:
         cache=cache,
         warmup_insts=getattr(args, "warmup_insts", None),
         batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
         profile=getattr(args, "profile", False),
         taint=getattr(args, "taint", "off") == "on",
     )
@@ -395,7 +384,6 @@ def cmd_localize(args) -> int:
         cache=cache,
         warmup_insts=getattr(args, "warmup_insts", None),
         batch_lanes=getattr(args, "batch_lanes", None),
-        engine=args.engine,
         profile=getattr(args, "profile", False),
         taint=getattr(args, "taint", "off") == "on",
     )
@@ -483,7 +471,6 @@ def cmd_audit(args) -> int:
                        jobs=jobs, cache=cache,
                        warmup_insts=getattr(args, "warmup_insts", None),
                        batch_lanes=getattr(args, "batch_lanes", None),
-                       engine=args.engine,
                        profile=getattr(args, "profile", False),
                        taint=taint, taint_expectations=taint_expectations)
     print(result.render())
@@ -531,8 +518,8 @@ def cmd_submit(args) -> int:
     )
 
     spec = {"kind": args.kind, "config": args.config, "inputs": args.inputs,
-            "seed": args.seed, "engine": args.engine,
-            "priority": args.priority, "tenant": args.tenant}
+            "seed": args.seed, "priority": args.priority,
+            "tenant": args.tenant}
     if args.fast_bypass:
         spec["fast_bypass"] = True
     if args.variable_div:
@@ -665,30 +652,17 @@ def cmd_trace(args) -> int:
 
 def cmd_reanalyze(args) -> int:
     """Re-run the statistical analysis over an archived trace log."""
-    from repro.sampler import build_contingency_table, measure_association
-    from repro.sampler.matrix import TraceMatrix
-    from repro.sampler.stats_vec import batched_association
+    from repro.sampler.pipeline import unit_associations
     from repro.trace.logfile import parse_trace_log
 
     iterations = parse_trace_log(args.log, features=args.features or None)
     if not iterations:
         print("no iterations in log", file=sys.stderr)
         return 2
-    labels = [record.label for record in iterations]
     feature_ids = sorted(iterations[0].features)
-    if args.engine == "numpy":
-        matrix = TraceMatrix.from_iterations(iterations, feature_ids,
-                                             notiming=False)
-        associations = batched_association(matrix)
-    else:
-        associations = {
-            feature_id: measure_association(build_contingency_table(
-                labels,
-                [r.features[feature_id].snapshot_hash for r in iterations],
-            ))
-            for feature_id in feature_ids
-        }
-    print(f"{len(iterations)} iterations, {len(set(labels))} classes")
+    associations = unit_associations(iterations, feature_ids)
+    print(f"{len(iterations)} iterations, "
+          f"{len({record.label for record in iterations})} classes")
     print(f"{'unit':<14} {'V':>6} {'p-value':>10} {'flag':>6}")
     leaky = False
     for feature_id in feature_ids:
@@ -744,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="after detection, localize every leaky unit "
                               "to a cycle window and the responsible "
                               "instructions")
-    _add_engine_argument(analyze)
     _add_backend_arguments(analyze)
     _add_checkpoint_argument(analyze)
     _add_batch_argument(analyze)
@@ -779,7 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "as commit-stamped JSON (each leg's report is "
                             "byte-identical to 'analyze --json' on that "
                             "config)")
-    _add_engine_argument(sweep)
     _add_backend_arguments(sweep)
     _add_checkpoint_argument(sweep)
     _add_batch_argument(sweep)
@@ -813,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ranked instructions to print per unit")
     localize.add_argument("--json", action="store_true",
                           help="emit the localization as JSON (for CI)")
-    _add_engine_argument(localize)
     _add_backend_arguments(localize)
     _add_checkpoint_argument(localize)
     _add_batch_argument(localize)
@@ -859,7 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--variable-div", action="store_true")
     audit.add_argument("--inputs", type=int, default=8)
     audit.add_argument("--seed", type=int, default=3)
-    _add_engine_argument(audit)
     _add_backend_arguments(audit)
     _add_checkpoint_argument(audit)
     _add_batch_argument(audit)
@@ -935,7 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--verbose", action="store_true",
                         help="print the full job record (state, stats, "
                              "events) instead of just the result")
-    _add_engine_argument(submit)
     _add_taint_argument(submit)
     _add_batch_argument(submit)
     submit.set_defaults(func=cmd_submit)
@@ -945,7 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     reanalyze.add_argument("log")
     reanalyze.add_argument("--features", nargs="*",
                            help="feature subset (default: all in the log)")
-    _add_engine_argument(reanalyze)
     reanalyze.set_defaults(func=cmd_reanalyze)
     return parser
 

@@ -55,7 +55,6 @@ class LocalizationReport:
     config_name: str
     n_iterations: int
     n_classes: int
-    engine: str = "numpy"
     #: units that phase 1 flagged (the localization targets).
     target_units: tuple = ()
     units: dict[str, UnitLocalization] = field(default_factory=dict)
@@ -78,7 +77,6 @@ class LocalizationReport:
 def localize_campaign(campaign, feature_ids, *,
                       v_threshold: float | None = None,
                       alpha: float | None = None,
-                      engine: str = "numpy",
                       warmup_iterations: int = 0,
                       permutations: int = DEFAULT_PERMUTATIONS,
                       seed: int = 0,
@@ -116,15 +114,13 @@ def localize_campaign(campaign, feature_ids, *,
         config_name=campaign.config.name,
         n_iterations=len(iterations),
         n_classes=len({r.label for r in iterations}),
-        engine=engine,
         target_units=tuple(feature_ids),
         simulate_seconds=campaign.simulate_seconds,
     )
     for feature_id in feature_ids:
         started = time.perf_counter()
         scan = temporal_scan(iterations, feature_id,
-                             v_threshold=v_threshold, alpha=alpha,
-                             engine=engine)
+                             v_threshold=v_threshold, alpha=alpha)
         report.scan_seconds += time.perf_counter() - started
         unit = UnitLocalization(feature_id=feature_id, scan=scan)
         if scan.window is not None:
@@ -157,7 +153,7 @@ def localize(workload: Workload, *, sampler=None, report=None,
              max_cycles_per_run: int = 5_000_000) -> LocalizationReport:
     """The full two-phase flow: detect, then localize every flagged unit.
 
-    ``sampler`` supplies the core configuration, thresholds, engine and
+    ``sampler`` supplies the core configuration, thresholds and the
     simulation backend (jobs/pool/cache); ``report`` is an existing phase-1
     :class:`~repro.sampler.pipeline.LeakageReport` to reuse (one is
     computed when omitted).  ``features`` overrides the localization
@@ -187,7 +183,6 @@ def localize(workload: Workload, *, sampler=None, report=None,
             config_name=sampler.config.name,
             n_iterations=report.n_iterations if report is not None else 0,
             n_classes=report.n_classes if report is not None else 0,
-            engine=sampler.engine,
             profile=report.profile if report is not None else None,
         )
     campaign_kwargs = dict(
@@ -208,7 +203,6 @@ def localize(workload: Workload, *, sampler=None, report=None,
     result = localize_campaign(
         campaign, targets,
         v_threshold=sampler.v_threshold, alpha=sampler.alpha,
-        engine=sampler.engine,
         warmup_iterations=sampler.warmup_iterations,
         permutations=permutations, seed=seed,
         taint=taint,

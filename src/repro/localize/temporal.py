@@ -7,10 +7,9 @@ module re-keys the retained per-cycle row digests by **cycle offset from
 the iteration start**: offset ``t`` yields one column of digests across all
 iterations, which is exactly the shape the association machinery already
 scores.  Every offset is tested with the same chi-squared / Cramér's V gate
-as the per-unit verdicts (batched through
-:mod:`repro.sampler.stats_vec` on the numpy engine), and the *leaking
-window* is the minimal contiguous offset range covering every flagged
-offset.
+as the per-unit verdicts (:func:`repro.sampler.stats.score_columns`), and
+the *leaking window* is the minimal contiguous offset range covering every
+flagged offset.
 
 Alignment caveat: iterations of one workload need not be equally long (an
 early-exit ``memcmp`` ends sooner on a mismatch).  Offsets past an
@@ -27,6 +26,7 @@ from repro.sampler.stats import (
     SIGNIFICANCE_ALPHA,
     STRONG_ASSOCIATION_THRESHOLD,
     AssociationResult,
+    score_columns,
 )
 
 #: Category standing in for "this iteration already ended" at offsets past
@@ -120,46 +120,14 @@ def offset_columns(iterations, feature_id: str):
     return labels, columns
 
 
-def _score_offsets_python(labels, columns) -> list[AssociationResult]:
-    from repro.sampler.contingency import build_contingency_table
-    from repro.sampler.stats import measure_association
-
-    return [measure_association(build_contingency_table(labels, column))
-            for column in columns]
-
-
-def _score_offsets_numpy(labels, columns) -> list[AssociationResult]:
-    from repro.sampler.matrix import TraceMatrix
-    from repro.sampler.stats_vec import batched_association
-
-    matrix = TraceMatrix.from_observations(
-        labels, {offset: column for offset, column in enumerate(columns)},
-    )
-    associations = batched_association(matrix)
-    return [associations[offset] for offset in range(len(columns))]
-
-
 def temporal_scan(iterations, feature_id: str, *,
                   v_threshold: float = STRONG_ASSOCIATION_THRESHOLD,
-                  alpha: float = SIGNIFICANCE_ALPHA,
-                  engine: str = "numpy") -> TemporalScan:
-    """Score every cycle offset of one unit and derive the leaking window.
-
-    ``engine`` selects the association implementation exactly as the
-    detection pipeline does: ``"numpy"`` scores all offsets through the
-    batched columnar kernels, ``"python"`` through the scalar reference
-    path; both agree to within 1e-9.
-    """
+                  alpha: float = SIGNIFICANCE_ALPHA) -> TemporalScan:
+    """Score every cycle offset of one unit and derive the leaking window."""
     iterations = list(iterations)
     labels, columns = offset_columns(iterations, feature_id)
-    if engine == "numpy":
-        associations = _score_offsets_numpy(labels, columns)
-    elif engine == "python":
-        associations = _score_offsets_python(labels, columns)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
     scores = tuple(OffsetScore(offset=t, association=a)
-                   for t, a in enumerate(associations))
+                   for t, a in enumerate(score_columns(labels, columns)))
     flagged = tuple(
         s.offset for s in scores
         if s.association.cramers_v > v_threshold

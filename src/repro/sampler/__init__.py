@@ -32,12 +32,6 @@ from repro.sampler.exec_backend import (
     execute_tasks,
     resolve_jobs,
 )
-from repro.sampler.matrix import TraceMatrix, encode_column
-from repro.sampler.stats_vec import (
-    batched_association,
-    chi_squared_from_counts,
-    measure_association_counts,
-)
 from repro.sampler.feature_extraction import (
     OrderingReport,
     RootCauseReport,
@@ -115,17 +109,12 @@ __all__ = [
     "UnitResult",
     "Workload",
     "WorkloadError",
-    "TraceMatrix",
     "adaptive_analyze",
     "attach_batch_checkpoints",
-    "batched_association",
     "describe_batch_lanes",
     "parse_batch_lanes",
     "resolve_batch_lanes",
     "build_contingency_table",
-    "chi_squared_from_counts",
-    "encode_column",
-    "measure_association_counts",
     "UnitDelta",
     "chi_squared_p_value",
     "chi_squared_statistic",

@@ -164,16 +164,16 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
               jobs: int | None = 1, cache=None,
               warmup_insts: int | None = None,
               batch_lanes=None,
-              engine: str = "numpy", profile: bool = False,
+              profile: bool = False,
               taint: bool = False,
               taint_expectations: dict | None = None,
               pool=None) -> AuditResult:
     """Analyze every workload; ``expectations[name]`` = True means "should
     leak" (a litmus), False means "must be clean" (a hardened primitive).
 
-    ``jobs``/``pool``/``cache``/``warmup_insts``/``batch_lanes``/``engine``/
-    ``profile`` configure the simulation backend and the statistics engine
-    when no explicit ``sampler`` is supplied (see
+    ``jobs``/``pool``/``cache``/``warmup_insts``/``batch_lanes``/``profile``
+    configure the simulation backend when no explicit ``sampler`` is
+    supplied (see
     :func:`repro.sampler.run_campaign` and
     :class:`~repro.sampler.pipeline.MicroSampler`); with ``profile`` the
     suite-wide per-stage breakdown lands on ``AuditResult.profile``.
@@ -187,7 +187,7 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
                                       cache=cache,
                                       warmup_insts=warmup_insts,
                                       batch_lanes=batch_lanes,
-                                      engine=engine, profile=profile,
+                                      profile=profile,
                                       taint=taint)
     expectations = expectations or {}
     taint_expectations = taint_expectations or {}

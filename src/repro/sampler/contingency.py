@@ -35,10 +35,7 @@ class ContingencyTable:
         return tuple(sum(row) for row in self.counts)
 
     def column_totals(self) -> tuple:
-        return tuple(
-            sum(self.counts[i][j] for i in range(self.n_rows))
-            for j in range(self.n_cols)
-        )
+        return tuple(map(sum, zip(*self.counts)))
 
     def is_degenerate(self) -> bool:
         """True when association is undefined (one class or one hash)."""

@@ -497,15 +497,25 @@ class ShardExecutionError(RuntimeError):
     never retried."""
 
 
-def _pool_worker(conn) -> None:
+def _pool_worker(conn, parent_ends, wake_fds) -> None:
     """Worker main loop: receive ``(shard_id, tasks)``, send results back.
 
     Runs until the parent sends ``None`` or closes the pipe.  Failures are
     reported as data, not raised — the worker survives bad shards; only an
     OS-level death (crash, SIGKILL) takes it down, which the parent notices
     as EOF on this pipe.
+
+    A forked worker first closes what it inherited from the pool: the
+    pool's end of every worker pipe (its own included) and the wake pipe.
+    Held open, those ends would keep the pipes alive after the pool's
+    process dies, so no worker would see EOF and all would outlive it.
     """
     from repro.sampler.runner import WorkloadError
+
+    for end in parent_ends:
+        end.close()
+    for fd in wake_fds:
+        os.close(fd)
 
     while True:
         try:
@@ -689,8 +699,13 @@ class WorkerPool:
 
     def _spawn_locked(self) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = ((), ())
+        if self._ctx.get_start_method() == "fork":
+            inherited = ([parent_conn] + [handle.conn for handle
+                                          in self._handles.values()],
+                         (self._wake_r, self._wake_w))
         process = self._ctx.Process(
-            target=_pool_worker, args=(child_conn,), daemon=True,
+            target=_pool_worker, args=(child_conn, *inherited), daemon=True,
             name=f"microsampler-worker-{self._next_worker_id}")
         process.start()
         child_conn.close()  # parent EOF-detects the child's death

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from repro.sampler.contingency import build_contingency_table
 from repro.sampler.feature_extraction import RootCauseReport, extract_root_causes
-from repro.sampler.matrix import TraceMatrix
 from repro.sampler.mutual_information import (
     MutualInformationResult,
     mutual_information_by_unit,
@@ -23,9 +22,8 @@ from repro.sampler.stats import (
     SIGNIFICANCE_ALPHA,
     STRONG_ASSOCIATION_THRESHOLD,
     AssociationResult,
-    measure_association,
+    score_columns,
 )
-from repro.sampler.stats_vec import batched_association
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch.config import CoreConfig, MEGA_BOOM
 
@@ -113,8 +111,6 @@ class LeakageReport:
     n_classes: int
     units: dict[str, UnitResult] = field(default_factory=dict)
     timings: StageTimings | None = None
-    #: Which statistics engine produced the verdicts ("python" or "numpy").
-    engine: str = "python"
     #: Per-stage simulator time breakdown (``--profile``), merged over all
     #: simulated runs (:class:`repro.util.profiling.StageProfile`).
     profile: object | None = None
@@ -152,21 +148,27 @@ class LeakageReport:
         }
 
 
+def unit_associations(iterations, feature_ids, *,
+                      notiming: bool = False) -> dict[str, AssociationResult]:
+    """Score each unit's per-iteration snapshot hashes against the labels.
+
+    ``notiming`` scores the timing-removed hashes (Section VII-B) instead.
+    """
+    labels = [record.label for record in iterations]
+    features = [record.features for record in iterations]
+    snapshot_hash = attrgetter("snapshot_hash_notiming" if notiming
+                               else "snapshot_hash")
+    columns = ([snapshot_hash(by_id[feature_id]) for by_id in features]
+               for feature_id in feature_ids)
+    return dict(zip(feature_ids, score_columns(labels, columns)))
+
+
 class MicroSampler:
     """The verification framework: configure once, analyze many workloads.
 
     Parameters mirror the paper's defaults: a correlation is flagged when
     Cramér's V exceeds 0.5 *and* the chi-squared p-value is below 0.05.
-
-    ``engine`` selects the statistics implementation: ``"numpy"`` (default)
-    lowers the campaign into a columnar :class:`TraceMatrix` and scores all
-    units with the batched kernels in :mod:`repro.sampler.stats_vec`;
-    ``"python"`` is the scalar per-table reference implementation.  The two
-    agree to within 1e-9 on every statistic (and exactly on verdicts); the
-    scalar path stays authoritative for golden values.
     """
-
-    ENGINES = ("python", "numpy")
 
     def __init__(self, config: CoreConfig = MEGA_BOOM, *,
                  features=None,
@@ -179,17 +181,11 @@ class MicroSampler:
                  cache=None,
                  warmup_insts: int | None = None,
                  batch_lanes=None,
-                 engine: str = "numpy",
                  measure_mi: bool = False,
                  mi_permutations: int = 200,
                  profile: bool = False,
                  taint: bool = False,
                  pool=None):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown analysis engine {engine!r}; choose from "
-                f"{self.ENGINES}")
-        self.engine = engine
         self.config = config
         self.features = tuple(features) if features is not None else FEATURE_ORDER
         self.v_threshold = v_threshold
@@ -288,50 +284,24 @@ class MicroSampler:
         """Stages ③ and ④ on an existing simulation campaign."""
         iterations = [r for r in campaign.iterations
                       if r.ordinal >= self.warmup_iterations]
-        labels = [record.label for record in iterations]
         report = LeakageReport(
             workload_name=campaign.workload.name,
             config_name=campaign.config.name,
             n_iterations=len(iterations),
-            n_classes=len(set(labels)),
-            engine=self.engine,
+            n_classes=len({record.label for record in iterations}),
             divergences=list(getattr(campaign, "divergences", None) or []),
         )
         stats_started = time.perf_counter()
-        if self.engine == "numpy":
-            matrix = TraceMatrix.from_campaign(
-                campaign, self.features,
-                warmup_iterations=self.warmup_iterations,
-                notiming=self.analyze_timing_removed,
+        associations = unit_associations(iterations, self.features)
+        associations_notiming = (
+            unit_associations(iterations, self.features, notiming=True)
+            if self.analyze_timing_removed else {})
+        for feature_id in self.features:
+            report.units[feature_id] = UnitResult(
+                feature_id=feature_id,
+                association=associations[feature_id],
+                association_notiming=associations_notiming.get(feature_id),
             )
-            associations = batched_association(matrix)
-            associations_notiming = (
-                batched_association(matrix, notiming=True)
-                if self.analyze_timing_removed else {}
-            )
-            for feature_id in self.features:
-                report.units[feature_id] = UnitResult(
-                    feature_id=feature_id,
-                    association=associations[feature_id],
-                    association_notiming=associations_notiming.get(feature_id),
-                )
-        else:
-            for feature_id in self.features:
-                hashes = [r.features[feature_id].snapshot_hash
-                          for r in iterations]
-                table = build_contingency_table(labels, hashes)
-                association = measure_association(table)
-                unit = UnitResult(feature_id=feature_id,
-                                  association=association)
-                if self.analyze_timing_removed:
-                    nt_hashes = [
-                        r.features[feature_id].snapshot_hash_notiming
-                        for r in iterations
-                    ]
-                    unit.association_notiming = measure_association(
-                        build_contingency_table(labels, nt_hashes)
-                    )
-                report.units[feature_id] = unit
         if self.measure_mi:
             mi_by_unit = mutual_information_by_unit(
                 iterations, self.features,

@@ -14,8 +14,7 @@ def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
     lines = [
         f"MicroSampler report — workload={report.workload_name} "
         f"core={report.config_name}",
-        f"iterations={report.n_iterations} classes={report.n_classes} "
-        f"engine={report.engine}",
+        f"iterations={report.n_iterations} classes={report.n_classes}",
         "",
     ]
     show_mi = any(unit.mi is not None for unit in report.units.values())
@@ -185,7 +184,6 @@ def report_to_dict(report: LeakageReport) -> dict:
     payload = {
         "workload": report.workload_name,
         "config": report.config_name,
-        "engine": report.engine,
         "n_iterations": report.n_iterations,
         "n_classes": report.n_classes,
         "leakage_detected": report.leakage_detected,

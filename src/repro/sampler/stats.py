@@ -1,9 +1,10 @@
 """Association statistics: Pearson chi-squared and Cramér's V (Section V-C2).
 
 Implements Equations 2-4 of the paper directly.  The chi-squared *p*-value
-uses the regularized upper incomplete gamma function from scipy; everything
-else is computed from first principles so the statistical machinery itself
-is part of the reproduction.
+uses the regularized upper incomplete gamma function from scipy (imported
+on first use, so importing the CLI does not load scipy); everything else is
+computed from first principles so the statistical machinery itself is part
+of the reproduction.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaincc
-
-from repro.sampler.contingency import ContingencyTable
+from repro.sampler.contingency import ContingencyTable, build_contingency_table
 
 #: Cohen's guidance as cited by the paper: correlation is strong for V > 0.5.
 STRONG_ASSOCIATION_THRESHOLD = 0.5
@@ -75,6 +74,8 @@ def chi_squared_p_value(statistic: float, dof: int) -> float:
     """
     if dof <= 0:
         return 1.0
+    from scipy.special import gammaincc
+
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 
@@ -142,3 +143,14 @@ def measure_association(table: ContingencyTable) -> AssociationResult:
         n_classes=table.n_rows,
         n_categories=table.n_cols,
     )
+
+
+def score_columns(labels, columns) -> list[AssociationResult]:
+    """Measure the association of ``labels`` with each category column.
+
+    ``columns`` yields one sequence per tested quantity, parallel to
+    ``labels``: a unit's snapshot hashes for the per-unit verdicts, or the
+    row digests at one cycle offset for the temporal scan.
+    """
+    return [measure_association(build_contingency_table(labels, column))
+            for column in columns]

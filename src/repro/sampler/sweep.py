@@ -110,15 +110,14 @@ SweepPoint = ConvergencePoint
 def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
                        feature_ids=None, config: CoreConfig = MEGA_BOOM,
                        seed: int = 3, jobs: int | None = 1,
-                       cache=None, engine: str = "numpy") -> ConvergenceSweep:
+                       cache=None) -> ConvergenceSweep:
     """Run the analysis at increasing campaign sizes.
 
     ``workload_factory(n_inputs, seed)`` builds the workload for each size.
     Sweeps re-simulate every smaller campaign's inputs, so passing a
     ``cache`` (see :class:`~repro.sampler.trace_cache.TraceCache`) makes
     each point pay only for its newly added inputs; ``jobs`` parallelizes
-    the rest and ``engine`` selects the statistics implementation (sweeps
-    score many (unit, size) cells, so the vectorized default matters here).
+    the rest.
     """
     result = None
     points = []
@@ -130,7 +129,7 @@ def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
         sampler = MicroSampler(config, features=ids,
                                analyze_timing_removed=False,
                                extract_root_causes_for_leaky=False,
-                               jobs=jobs, cache=cache, engine=engine)
+                               jobs=jobs, cache=cache)
         report = sampler.analyze(workload)
         point = ConvergencePoint(n_inputs=n_inputs,
                                  n_iterations=report.n_iterations)
@@ -355,7 +354,6 @@ def sweep_configs(workload: Workload, configs, *,
                   cache=None,
                   warmup_insts: int | None = None,
                   batch_lanes=None,
-                  engine: str = "numpy",
                   measure_mi: bool = False,
                   mi_permutations: int = 200,
                   profile: bool = False,
@@ -436,7 +434,7 @@ def sweep_configs(workload: Workload, configs, *,
                 extract_root_causes_for_leaky=extract_root_causes_for_leaky,
                 warmup_iterations=warmup_iterations, jobs=jobs, cache=cache,
                 warmup_insts=warmup_insts, batch_lanes=batch_lanes,
-                engine=engine, measure_mi=measure_mi,
+                measure_mi=measure_mi,
                 mi_permutations=mi_permutations, profile=profile,
                 taint=taint)
             # Per-config projection of the shared taint witness: only

@@ -100,7 +100,6 @@ class JobSpec:
     variable_div: bool = False
     inputs: int = 8
     seed: int = 3
-    engine: str = "numpy"
     #: higher runs first; FIFO within a priority level.
     priority: int = 0
     tenant: str = ""
@@ -135,15 +134,10 @@ class JobSpec:
 
     def validate(self) -> None:
         from repro.cli import known_workloads
-        from repro.sampler.pipeline import MicroSampler
 
         if self.kind not in JOB_KINDS:
             raise JobSpecError(
                 f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}")
-        if self.engine not in MicroSampler.ENGINES:
-            raise JobSpecError(
-                f"unknown engine {self.engine!r}; choose from "
-                f"{MicroSampler.ENGINES}")
         if self.config not in ("mega", "medium", "small"):
             raise JobSpecError(
                 f"unknown config {self.config!r}; choose 'mega', "
@@ -429,7 +423,6 @@ class JobManager:
             cache=self.cache,
             warmup_insts=spec.resolve_warmup_insts(),
             batch_lanes=spec.batch_lanes,
-            engine=spec.engine,
             taint=spec.taint,
         )
         names = ([spec.workload] if spec.kind != "audit"

@@ -120,3 +120,17 @@ SUM_PROGRAM_EXIT = 62  # 2 * (3+1+4+1+5+9+2+6)
 @pytest.fixture(scope="session")
 def sum_program():
     return assemble(SUM_PROGRAM, entry="main")
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment in which a child interpreter imports this ``repro``."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}

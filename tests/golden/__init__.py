@@ -1,11 +1,11 @@
 """Golden-value regression fixtures for the paper's case studies.
 
-Each ``<case>.json`` file in this directory pins the scalar (reference)
-engine's verdict for one case-study campaign: the sorted leaky-unit set plus
-per-unit Cramér's V, bias-corrected V and p-value (and timing-removed V).
+Each ``<case>.json`` file in this directory pins the verdict for one
+case-study campaign: the sorted leaky-unit set plus per-unit Cramér's V,
+bias-corrected V and p-value (and timing-removed V).
 ``tests/test_case_studies.py`` asserts every fresh report against them to
-1e-9, so any change to the simulator, the tracer's hashing, or either
-statistics engine that moves a published number is caught as a diff.
+1e-9, so any change to the simulator, the tracer's hashing, or the
+statistics that moves a published number is caught as a diff.
 
 The ``taint_*.json`` fixtures pin the secret-taint publicness engine's
 merged campaign maps for the memcmp pair — the early-exit variant (must

@@ -1,9 +1,8 @@
-"""Regenerate the golden case-study fixtures from the scalar engine.
+"""Regenerate the golden case-study fixtures.
 
-The scalar (``engine="python"``) path is the authoritative reference
-implementation, so golden values are always produced by it; the vectorized
-engine is held to the same numbers by the differential tests.  Run from the
-repository root::
+Golden values come from the statistics path every analysis uses
+(:mod:`repro.sampler.stats`, itself checked against scipy by
+``tests/test_stats.py``).  Run from the repository root::
 
     PYTHONPATH=src python -m tests.golden.regenerate
 
@@ -30,8 +29,7 @@ from tests.golden import (
 
 def main() -> None:
     for name, (workload, config) in case_workloads().items():
-        sampler = MicroSampler(config, engine="python",
-                               extract_root_causes_for_leaky=False)
+        sampler = MicroSampler(config, extract_root_causes_for_leaky=False)
         report = sampler.analyze(workload)
         payload = report_to_golden(report)
         path = GOLDEN_DIR / f"{name}.json"
@@ -50,7 +48,7 @@ def main() -> None:
               f"{len(merged['tainted_pcs'])} tainted PCs")
 
     workload, config, features = localization_case()
-    sampler = MicroSampler(config, engine="python", cache=None)
+    sampler = MicroSampler(config, cache=None)
     localization = sampler.localize(workload, features=features)
     payload = localization_to_golden(localization)
     path = GOLDEN_DIR / "localize_ee_memcmp.json"

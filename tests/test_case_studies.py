@@ -202,10 +202,7 @@ def test_ct_memcmp_speculative_double_calls(ct_memcmp):
 def test_golden_values(name, request):
     """Every case-study report must match its pinned golden fixture.
 
-    Goldens are generated by the scalar reference engine (see
-    ``tests/golden/regenerate.py``); the reports here come from the default
-    (numpy) engine, so this doubles as an engine-differential check on the
-    real campaigns.
+    Goldens are generated by ``tests/golden/regenerate.py``.
     """
     golden = load_golden(name)
     _, report = request.getfixturevalue(name)

@@ -89,3 +89,39 @@ main:
     code = main(["simulate", str(source), "--entry", "main",
                  "--fast-bypass"])
     assert code == 0
+
+
+def test_importing_the_cli_does_not_load_scipy(subprocess_env):
+    import subprocess
+    import sys
+
+    script = ("import sys, repro.cli; "
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True,
+                            env=subprocess_env, timeout=60)
+    assert result.stdout.strip() == "[]"
+
+
+def _leak_units(text: str) -> set:
+    return {line.split()[0] for line in text.splitlines()
+            if line.split()[-1:] == ["LEAK"]}
+
+
+@pytest.mark.parametrize("name, expected_code", [("sam-leaky", 1),
+                                                 ("sam-ct", 0)])
+def test_trace_then_reanalyze_round_trip(tmp_path, capsys, name,
+                                         expected_code):
+    import json
+
+    log = tmp_path / f"{name}.jsonl.gz"
+    campaign = ["--config", "small", "--inputs", "4"]
+    assert main(["trace", name, str(log), *campaign]) == 0
+    capsys.readouterr()
+    assert main(["reanalyze", str(log)]) == expected_code
+    reanalyzed = _leak_units(capsys.readouterr().out)
+    main(["analyze", name, *campaign, "--no-cache", "--warmup-insts", "full",
+          "--batch-lanes", "off", "--no-timing-removed", "--json"])
+    analyzed = json.loads(capsys.readouterr().out)["leaky_units"]
+    assert reanalyzed == set(analyzed)
+    assert bool(reanalyzed) == (expected_code == 1)

@@ -86,22 +86,6 @@ class TestTemporalScan:
         assert scan.window is None
         assert scan.peak is None
 
-    def test_engines_agree(self):
-        records = synthetic_records()
-        numpy_scan = temporal_scan(records, FEATURE, engine="numpy")
-        python_scan = temporal_scan(records, FEATURE, engine="python")
-        assert numpy_scan.flagged_offsets == python_scan.flagged_offsets
-        assert numpy_scan.window == python_scan.window
-        for a, b in zip(numpy_scan.offsets, python_scan.offsets):
-            assert a.association.cramers_v == \
-                pytest.approx(b.association.cramers_v, abs=GOLDEN_TOLERANCE)
-            assert a.association.p_value == \
-                pytest.approx(b.association.p_value, abs=GOLDEN_TOLERANCE)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            temporal_scan(synthetic_records(), FEATURE, engine="rust")
-
     def test_class_correlated_length_leaks_at_tail(self):
         # Label-0 iterations run 6 cycles, label-1 only 4: the sentinel
         # padding turns the length difference into tail-offset leakage
@@ -213,17 +197,6 @@ class TestEndToEnd:
         assert forced.units[FEATURE].scan.window is None
         assert not forced.leakage_localized
 
-    def test_scan_engines_agree_on_real_campaign(self, ee_campaign):
-        iterations = list(ee_campaign.iterations)
-        numpy_scan = temporal_scan(iterations, FEATURE, engine="numpy")
-        python_scan = temporal_scan(iterations, FEATURE, engine="python")
-        assert numpy_scan.flagged_offsets == python_scan.flagged_offsets
-        for a, b in zip(numpy_scan.offsets, python_scan.offsets):
-            assert a.association.cramers_v == \
-                pytest.approx(b.association.cramers_v, abs=GOLDEN_TOLERANCE)
-            assert a.association.p_value == \
-                pytest.approx(b.association.p_value, abs=GOLDEN_TOLERANCE)
-
     def test_render_and_dict(self, ee_workload, ee_campaign):
         report = localize_campaign(ee_campaign, (FEATURE,))
         text = render_localization(report, program=ee_workload.assemble())
@@ -268,7 +241,7 @@ class TestParallelAndCache:
 class TestGolden:
     def test_localization_matches_fixture(self):
         workload, config, features = localization_case()
-        sampler = MicroSampler(config, engine="python", cache=None)
+        sampler = MicroSampler(config, cache=None)
         fresh = localization_to_golden(
             sampler.localize(workload, features=features))
         golden = load_golden("localize_ee_memcmp")
@@ -345,7 +318,7 @@ class TestCLI:
         # 0.01 significance gate recorded in the JSON output.
         rc = main(["localize", "ee-mem-cmp", "--inputs", "2",
                    "--features", FEATURE, "--permutations", "199",
-                   "--engine", "python", "--no-cache", "--json"])
+                   "--no-cache", "--json"])
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["leakage_localized"] is True

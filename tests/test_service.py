@@ -46,7 +46,7 @@ def oneshot_sampler():
     """A sampler configured exactly like the service's (and the CLI's)."""
     return MicroSampler(SMALL_BOOM, jobs=1, cache=None,
                         warmup_insts=DEFAULT_WARMUP_INSTS,
-                        batch_lanes="auto", engine="numpy")
+                        batch_lanes="auto")
 
 
 def oneshot_analyze(name: str, inputs: int = 2) -> dict:
@@ -156,8 +156,8 @@ def test_strip_volatile_removes_wall_clock_fields():
     ({"kind": "analyze", "workload": "nope"}, "unknown workload"),
     ({"kind": "audit", "workloads": ["sam-ct", "nope"]},
      "unknown workload"),
-    ({"kind": "analyze", "workload": "sam-ct", "engine": "fortran"},
-     "unknown engine"),
+    ({"kind": "analyze", "workload": "sam-ct", "engine": "numpy"},
+     "unknown job spec field"),
     ({"kind": "analyze", "workload": "sam-ct", "inputs": 0},
      "positive integer"),
     ({"kind": "analyze", "workload": "sam-ct", "frobnicate": 1},
@@ -175,7 +175,6 @@ def test_jobspec_defaults_mirror_cli():
     spec = JobSpec.from_dict({"kind": "analyze", "workload": "sam-ct"})
     assert spec.inputs == 8
     assert spec.seed == 3
-    assert spec.engine == "numpy"
     assert spec.config == "mega"
     assert spec.resolve_warmup_insts() == DEFAULT_WARMUP_INSTS
 

@@ -263,3 +263,82 @@ class TestChiSquaredEdgeCases:
         statistic, dof = chi_squared_statistic(_table([[7]]))
         assert statistic == 0.0
         assert dof == 0
+
+
+# -- real campaigns -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["chacha20", "ct_memcmp"])
+def campaign(request):
+    """One simulated crypto campaign, scored below."""
+    from repro.sampler import run_campaign
+    from repro.uarch import MEGA_BOOM
+    from repro.workloads.chacha import make_chacha20
+    from repro.workloads.memcmp import make_ct_memcmp
+
+    if request.param == "chacha20":
+        workload = make_chacha20(n_keys=4, n_blocks=1, seed=6)
+    else:
+        workload = make_ct_memcmp(n_pairs=12, seed=2, n_runs=2)
+    return run_campaign(workload, MEGA_BOOM)
+
+
+def _unit_tables(records, feature_id):
+    labels = [r.label for r in records]
+    for attribute in ("snapshot_hash", "snapshot_hash_notiming"):
+        yield build_contingency_table(labels, [
+            getattr(r.features[feature_id], attribute) for r in records])
+
+
+def _assert_same_score(reported, expected):
+    for field in ("dof", "n_observations", "n_classes", "n_categories"):
+        assert getattr(reported, field) == getattr(expected, field), field
+    for field in ("chi_squared", "p_value", "cramers_v",
+                  "cramers_v_corrected"):
+        assert getattr(reported, field) == pytest.approx(
+            getattr(expected, field), abs=1e-9), field
+
+
+def test_campaign_tables_match_scipy(campaign):
+    """Every unit table of a real campaign scores as scipy does, and the
+    pipeline reports exactly that score."""
+    import numpy as np
+
+    from repro.sampler import MicroSampler
+    from repro.uarch import MEGA_BOOM
+
+    report = MicroSampler(MEGA_BOOM).analyze_campaign(campaign)
+    for feature_id, unit in report.units.items():
+        tables = list(_unit_tables(campaign.iterations, feature_id))
+        scored = (unit.association, unit.association_notiming)
+        for table, reported in zip(tables, scored):
+            assert all(table.row_totals()) and all(table.column_totals())
+            association = measure_association(table)
+            _assert_same_score(reported, association)
+            ref = scipy_stats.chi2_contingency(np.array(table.counts),
+                                               correction=False)
+            assert association.chi_squared == pytest.approx(
+                ref.statistic, abs=1e-9), feature_id
+            assert association.dof == ref.dof
+            assert association.p_value == pytest.approx(
+                ref.pvalue, abs=1e-9), feature_id
+
+
+def test_warmup_iterations_score_only_later_records(campaign):
+    """``warmup_iterations=1`` scores exactly the records with ordinal >= 1
+    (none for chacha20, which runs one iteration per input)."""
+    from repro.sampler import MicroSampler
+    from repro.uarch import MEGA_BOOM
+
+    kept = [r for r in campaign.iterations if r.ordinal >= 1]
+    assert len(kept) < len(campaign.iterations)
+    report = MicroSampler(MEGA_BOOM, warmup_iterations=1,
+                          extract_root_causes_for_leaky=False,
+                          ).analyze_campaign(campaign)
+    assert report.n_iterations == len(kept)
+    assert report.n_classes == len({r.label for r in kept})
+    for feature_id, unit in report.units.items():
+        table, table_notiming = _unit_tables(kept, feature_id)
+        _assert_same_score(unit.association, measure_association(table))
+        _assert_same_score(unit.association_notiming,
+                           measure_association(table_notiming))

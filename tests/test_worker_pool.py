@@ -183,3 +183,46 @@ def test_close_fails_pending_futures(monkeypatch):
 def test_execute_tasks_with_pool_and_no_tasks():
     with WorkerPool(1) as pool:
         assert execute_tasks([], pool=pool) == []
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+def test_workers_exit_when_the_pool_process_is_killed(subprocess_env):
+    """SIGKILL of the pool's process must not orphan its workers: each
+    worker sees EOF on its pipe once no process holds the pool's end."""
+    import subprocess
+    import sys
+    import time
+
+    script = ("import time\n"
+              "from repro.sampler.exec_backend import WorkerPool\n"
+              "pool = WorkerPool(2)\n"
+              "print(*(h.process.pid for h in pool._handles.values()),\n"
+              "      flush=True)\n"
+              "time.sleep(120)\n")
+    with subprocess.Popen([sys.executable, "-c", script],
+                          env=subprocess_env, stdout=subprocess.PIPE,
+                          text=True) as parent:
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            assert all(_running(pid) for pid in workers)
+        finally:
+            parent.kill()
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(map(_running, workers)):
+        time.sleep(0.1)
+    survivors = [pid for pid in workers if _running(pid)]
+    for pid in survivors:  # do not leak them past a failing test
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
