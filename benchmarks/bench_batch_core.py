@@ -71,7 +71,7 @@ def _best(fn, repeats: int):
 def _identity_view(output):
     """The deterministic simulation payload of a RunOutput.
 
-    Timing observations (``sample_seconds``, ``profile``) and the batched
+    Timing observations (the ``span`` tree) and the batched
     group's surfaced ``divergences`` are excluded; everything the tracer
     and core produced must match bit-for-bit.
     """

@@ -41,6 +41,7 @@ import pytest
 from repro.sampler import MicroSampler, TraceCache, report_to_dict, sweep_configs
 from repro.uarch import MEDIUM_BOOM, MEGA_BOOM, SMALL_BOOM
 from repro.sampler.checkpoint import DEFAULT_WARMUP_INSTS
+from repro.sampler.sweep import SHARED_PHASES
 from repro.workloads.bignum import make_mp_modexp_ct
 from repro.workloads.chacha import make_chacha20
 
@@ -133,8 +134,9 @@ def measure(workload_name: str, workload, root_dir) -> dict:
         "sweep_warm_seconds": warm_seconds,
         "speedup_cold": naive_seconds / cold_seconds,
         "speedup_warm": naive_seconds / warm_seconds,
-        "shared_seconds": {key: round(value, 4)
-                           for key, value in cold.shared_seconds.items()},
+        "shared_seconds": {name: round(cold.spans.children[name].seconds, 4)
+                           for name in SHARED_PHASES
+                           if name in cold.spans.children},
         "legs": {leg.name: {"n_cached": leg.n_cached,
                             "n_simulated": leg.n_simulated}
                  for leg in cold.legs},

@@ -19,7 +19,6 @@ from repro.sampler import (
     LeakageReport,
     MicroSampler,
     RootCauseReport,
-    StageTimings,
     UnitResult,
     Workload,
     adaptive_analyze,
@@ -73,7 +72,6 @@ __all__ = [
     "MicroarchTracer",
     "RootCauseReport",
     "SMALL_BOOM",
-    "StageTimings",
     "UnitResult",
     "Workload",
     "adaptive_analyze",

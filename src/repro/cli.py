@@ -159,11 +159,11 @@ def _add_taint_argument(parser) -> None:
 
 def _add_profile_argument(parser) -> None:
     parser.add_argument("--profile", action="store_true",
-                        help="record a per-stage simulator time breakdown "
-                             "(fetch/rename/issue/writeback/commit/memory/"
-                             "tracer); runs replayed from the trace cache do "
-                             "no simulation work and contribute nothing — "
-                             "combine with --no-cache to profile every run")
+                        help="print the span tree (also under 'profile' "
+                             "in --json) with per-stage core rows added to "
+                             "every simulated run; cache replays simulate "
+                             "nothing — combine with --no-cache to profile "
+                             "every run")
 
 
 def _add_backend_arguments(parser) -> None:

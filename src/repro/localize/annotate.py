@@ -117,11 +117,9 @@ def render_localization(report: LocalizationReport, *, program=None,
             f"LEAKAGE LOCALIZED in: {', '.join(report.localized_units)}")
     else:
         lines.append("No cycle window passed the localization gate.")
-    lines.append(
-        f"stage times: simulate={report.simulate_seconds:.2f}s "
-        f"scan={report.scan_seconds:.2f}s "
-        f"attribute={report.attribute_seconds:.2f}s"
-    )
+    lines.append("stage times: " + " ".join(
+        f"{stage}={seconds:.2f}s"
+        for stage, seconds in report.timings.items()))
     if report.profile is not None:
         lines.append("")
         lines.append(report.profile.render())
@@ -187,11 +185,7 @@ def localization_to_dict(report: LocalizationReport, *,
         "leakage_localized": report.leakage_localized,
         "alpha": alpha,
         "units": units,
-        "timings_seconds": {
-            "simulate": report.simulate_seconds,
-            "scan": report.scan_seconds,
-            "attribute": report.attribute_seconds,
-        },
+        "timings_seconds": report.timings,
         "profile": (report.profile.to_dict()
                     if report.profile is not None else None),
     }

@@ -17,7 +17,6 @@ rather than crashing the scan.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.localize.attribution import (
@@ -27,11 +26,18 @@ from repro.localize.attribution import (
 )
 from repro.localize.temporal import TemporalScan, temporal_scan
 from repro.sampler.runner import Workload, run_campaign
+from repro.util.profiling import scope, span, stage_seconds
 
 #: Significance gate for localized findings (acceptance: p < 0.01 on the
 #: secret-dependent instructions).  Stricter than the detection alpha
 #: because phase 2 tests many offsets/instructions per unit.
 LOCALIZATION_ALPHA = 0.01
+
+#: Span name -> localization timing column (see
+#: :func:`~repro.util.profiling.stage_seconds`): the phase-2 campaign is
+#: ``simulate``; the phase-1 analysis it may include is not counted.
+LOCALIZE_STAGES = {"campaign": "simulate", "scan": "scan",
+                   "attribute": "attribute", "analyze": None}
 
 
 @dataclass
@@ -58,12 +64,15 @@ class LocalizationReport:
     #: units that phase 1 flagged (the localization targets).
     target_units: tuple = ()
     units: dict[str, UnitLocalization] = field(default_factory=dict)
-    simulate_seconds: float = 0.0
-    scan_seconds: float = 0.0
-    attribute_seconds: float = 0.0
-    #: Merged per-stage simulator time across both phases when the sampler
-    #: was profiling (:class:`repro.util.profiling.StageProfile`), else None.
+    #: The localization's span tree (:class:`repro.util.profiling.Span`).
+    spans: object | None = None
+    #: The same tree when the sampler was profiling, else None.
     profile: object | None = None
+
+    @property
+    def timings(self) -> dict:
+        """Seconds spent simulating, scanning and attributing."""
+        return stage_seconds(self.spans, LOCALIZE_STAGES)
 
     @property
     def localized_units(self) -> list[str]:
@@ -115,23 +124,22 @@ def localize_campaign(campaign, feature_ids, *,
         n_iterations=len(iterations),
         n_classes=len({r.label for r in iterations}),
         target_units=tuple(feature_ids),
-        simulate_seconds=campaign.simulate_seconds,
     )
-    for feature_id in feature_ids:
-        started = time.perf_counter()
-        scan = temporal_scan(iterations, feature_id,
-                             v_threshold=v_threshold, alpha=alpha)
-        report.scan_seconds += time.perf_counter() - started
-        unit = UnitLocalization(feature_id=feature_id, scan=scan)
-        if scan.window is not None:
-            started = time.perf_counter()
-            unit.attribution = attribute_window(
-                iterations, feature_id, scan.window,
-                permutations=permutations, seed=seed,
-                allowed_pcs=allowed_pcs,
-            )
-            report.attribute_seconds += time.perf_counter() - started
-        report.units[feature_id] = unit
+    with scope(campaign.span, "localize") as root:
+        for feature_id in feature_ids:
+            with span("scan"):
+                scan = temporal_scan(iterations, feature_id,
+                                     v_threshold=v_threshold, alpha=alpha)
+            unit = UnitLocalization(feature_id=feature_id, scan=scan)
+            if scan.window is not None:
+                with span("attribute"):
+                    unit.attribution = attribute_window(
+                        iterations, feature_id, scan.window,
+                        permutations=permutations, seed=seed,
+                        allowed_pcs=allowed_pcs,
+                    )
+            report.units[feature_id] = unit
+    report.spans = root
     return report
 
 
@@ -162,56 +170,50 @@ def localize(workload: Workload, *, sampler=None, report=None,
     from repro.sampler.pipeline import MicroSampler
 
     sampler = sampler or MicroSampler()
-    if report is None and features is None:
-        report = sampler.analyze(workload,
-                                 max_cycles_per_run=max_cycles_per_run)
-    taint = None
-    if getattr(sampler, "taint", False):
-        # Reuse the phase-1 prescreen when available; the map is a pure
-        # function of the workload so recomputing is equivalent.
-        if report is not None and report.taint is not None:
-            taint = report.taint
-        else:
-            taint = sampler.compute_taint(workload)
-    if features is not None:
-        targets = tuple(features)
-    else:
-        targets = tuple(report.leaky_units)
-    if not targets:
-        return LocalizationReport(
+    with span("localize") as root:
+        if report is None and features is None:
+            report = sampler.analyze(workload,
+                                     max_cycles_per_run=max_cycles_per_run)
+        taint = None
+        if getattr(sampler, "taint", False):
+            # Reuse the phase-1 prescreen when available; the map is a pure
+            # function of the workload so recomputing is equivalent.
+            if report is not None and report.taint is not None:
+                taint = report.taint
+            else:
+                taint = sampler.compute_taint(workload)
+        targets = tuple(features if features is not None
+                        else report.leaky_units)
+        result = LocalizationReport(
             workload_name=workload.name,
             config_name=sampler.config.name,
             n_iterations=report.n_iterations if report is not None else 0,
             n_classes=report.n_classes if report is not None else 0,
-            profile=report.profile if report is not None else None,
         )
-    campaign_kwargs = dict(
-        features=targets, keep_raw=True, log_commits=True,
-        max_cycles_per_run=max_cycles_per_run, jobs=sampler.jobs,
-        pool=getattr(sampler, "pool", None),
-        warmup_insts=getattr(sampler, "warmup_insts", None),
-        batch_lanes=getattr(sampler, "batch_lanes", None),
-        profile=sampler.profile,
-    )
-    campaign = run_campaign(workload, sampler.config,
-                            cache=sampler.cache, **campaign_kwargs)
-    if _missing_localization_inputs(campaign, targets):
-        # Stale or pre-versioning cache entries replayed without the
-        # localization inputs: re-simulate instead of crashing the scan.
-        campaign = run_campaign(workload, sampler.config, cache=None,
-                                **campaign_kwargs)
-    result = localize_campaign(
-        campaign, targets,
-        v_threshold=sampler.v_threshold, alpha=sampler.alpha,
-        warmup_iterations=sampler.warmup_iterations,
-        permutations=permutations, seed=seed,
-        taint=taint,
-    )
-    if sampler.profile:
-        from repro.util.profiling import merge_profiles
-
-        result.profile = merge_profiles([
-            report.profile if report is not None else None,
-            campaign.profile,
-        ])
+        if targets:
+            campaign_kwargs = dict(
+                features=targets, keep_raw=True, log_commits=True,
+                max_cycles_per_run=max_cycles_per_run, jobs=sampler.jobs,
+                pool=getattr(sampler, "pool", None),
+                warmup_insts=getattr(sampler, "warmup_insts", None),
+                batch_lanes=getattr(sampler, "batch_lanes", None),
+                profile=sampler.profile,
+            )
+            campaign = run_campaign(workload, sampler.config,
+                                    cache=sampler.cache, **campaign_kwargs)
+            if _missing_localization_inputs(campaign, targets):
+                # Stale or pre-versioning cache entries replayed without
+                # the localization inputs: re-simulate instead of
+                # crashing the scan.
+                campaign = run_campaign(workload, sampler.config,
+                                        cache=None, **campaign_kwargs)
+            result = localize_campaign(
+                campaign, targets,
+                v_threshold=sampler.v_threshold, alpha=sampler.alpha,
+                warmup_iterations=sampler.warmup_iterations,
+                permutations=permutations, seed=seed,
+                taint=taint,
+            )
+    result.spans = root
+    result.profile = root if sampler.profile else None
     return result

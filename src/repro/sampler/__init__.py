@@ -49,7 +49,6 @@ from repro.sampler.mutual_information import (
 from repro.sampler.pipeline import (
     LeakageReport,
     MicroSampler,
-    StageTimings,
     UnitResult,
     adaptive_analyze,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "RootCauseReport",
     "SIGNIFICANCE_ALPHA",
     "STRONG_ASSOCIATION_THRESHOLD",
-    "StageTimings",
     "UniquenessReport",
     "UnitResult",
     "Workload",

@@ -9,11 +9,11 @@ regression gate (exit non-zero on any unexpected flip, in either direction).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.sampler.pipeline import MicroSampler
 from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.util.profiling import span
 
 
 @dataclass
@@ -25,6 +25,7 @@ class AuditEntry:
     leaky_units: list
     max_v: float
     n_iterations: int
+    #: Wall-clock of the entry's span.
     seconds: float
     expected: bool | None = None
     #: Taint prescreen outcome (``--taint on`` only, else all None/empty):
@@ -58,8 +59,9 @@ class AuditResult:
 
     config_name: str
     entries: list = field(default_factory=list)
-    #: Suite-wide per-stage simulator time breakdown when profiling was
-    #: requested (:class:`repro.util.profiling.StageProfile`).
+    #: The audit's span tree: one child per entry.
+    spans: object | None = None
+    #: The same tree when profiling was requested, else None.
     profile: object | None = None
 
     @property
@@ -176,7 +178,8 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     supplied (see
     :func:`repro.sampler.run_campaign` and
     :class:`~repro.sampler.pipeline.MicroSampler`); with ``profile`` the
-    suite-wide per-stage breakdown lands on ``AuditResult.profile``.
+    audit's span tree, per-stage core rows included, lands on
+    ``AuditResult.profile``.
 
     ``taint`` runs the secret-taint prescreen alongside every analysis and
     records the taint-vs-statistics agreement per entry;
@@ -192,28 +195,25 @@ def run_audit(workloads, *, config: CoreConfig = MEGA_BOOM,
     expectations = expectations or {}
     taint_expectations = taint_expectations or {}
     result = AuditResult(config_name=config.name)
-    profiles = []
-    for workload in workloads:
-        started = time.perf_counter()
-        report = sampler.analyze(workload)
-        profiles.append(report.profile)
-        result.entries.append(AuditEntry(
-            name=workload.name,
-            leakage_detected=report.leakage_detected,
-            leaky_units=report.leaky_units,
-            max_v=max(report.cramers_v_by_unit().values()),
-            n_iterations=report.n_iterations,
-            seconds=time.perf_counter() - started,
-            expected=expectations.get(workload.name),
-            taint_escalated=(report.taint.escalated
-                             if report.taint is not None else None),
-            taint_expected=(taint_expectations.get(workload.name)
-                            if report.taint is not None else None),
-            taint_agreement=(dict(report.taint.agreement)
-                             if report.taint is not None else {}),
-        ))
-    if any(profile is not None for profile in profiles):
-        from repro.util.profiling import merge_profiles
-
-        result.profile = merge_profiles(profiles)
+    with span("audit") as root:
+        for workload in workloads:
+            with span(workload.name) as entry_span:
+                report = sampler.analyze(workload)
+            result.entries.append(AuditEntry(
+                name=workload.name,
+                leakage_detected=report.leakage_detected,
+                leaky_units=report.leaky_units,
+                max_v=max(report.cramers_v_by_unit().values()),
+                n_iterations=report.n_iterations,
+                seconds=entry_span.seconds,
+                expected=expectations.get(workload.name),
+                taint_escalated=(report.taint.escalated
+                                 if report.taint is not None else None),
+                taint_expected=(taint_expectations.get(workload.name)
+                                if report.taint is not None else None),
+                taint_agreement=(dict(report.taint.agreement)
+                                 if report.taint is not None else {}),
+            ))
+    result.spans = root
+    result.profile = root if sampler.profile else None
     return result

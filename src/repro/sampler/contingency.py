@@ -56,17 +56,28 @@ class ContingencyTable:
         return "\n".join(lines)
 
 
-def build_contingency_table(labels, hashes) -> ContingencyTable:
-    """Build a contingency table from parallel (label, hash) observations."""
+def label_rows(labels) -> tuple:
+    """``(sorted classes, row index of each label)`` for tables over
+    ``labels`` — computed once when many columns share the labels."""
+    class_values = tuple(sorted(set(labels)))
+    class_index = {c: i for i, c in enumerate(class_values)}
+    return class_values, [class_index[label] for label in labels]
+
+
+def build_contingency_table(labels, hashes, *,
+                            rows=None) -> ContingencyTable:
+    """Build a contingency table from parallel (label, hash) observations.
+
+    ``rows`` optionally passes :func:`label_rows` of ``labels``.
+    """
     if len(labels) != len(hashes):
         raise ValueError("labels and hashes must have equal length")
-    class_values = sorted(set(labels))
+    class_values, row_of = rows if rows is not None else label_rows(labels)
     hash_values = sorted(set(hashes))
     hash_index = {h: j for j, h in enumerate(hash_values)}
-    class_index = {c: i for i, c in enumerate(class_values)}
     counts = [[0] * len(hash_values) for _ in class_values]
-    for label, snapshot_hash in zip(labels, hashes):
-        counts[class_index[label]][hash_index[snapshot_hash]] += 1
+    for row, snapshot_hash in zip(row_of, hashes):
+        counts[row][hash_index[snapshot_hash]] += 1
     return ContingencyTable(
         classes=tuple(class_values),
         hashes=tuple(hash_values),

@@ -36,7 +36,6 @@ import multiprocessing.connection
 import os
 import signal
 import threading
-import time
 from dataclasses import dataclass, field, replace
 
 from repro.isa.assembler import Program
@@ -45,6 +44,7 @@ from repro.kernel.proxy_kernel import ProxyKernel
 from repro.trace.tracer import IterationRecord, MicroarchTracer
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import Core, RunResult
+from repro.util.profiling import STAGE_LABELS, Span, current_span, span
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ class RunTask:
     #: in-memory only).  Storage location, not content — excluded from the
     #: trace-cache key like ``profile``.
     checkpoint_dir: str | None = None
-    #: Attach a per-stage wall-clock profiler to the core (``--profile``).
+    #: Add the per-stage core rows to the run's span tree (``--profile``).
     #: Observational only — excluded from the trace-cache key, and cached
-    #: replays simply carry no profile.
+    #: replays simply carry no spans.
     profile: bool = False
     #: Checkpoint attached by the batch prepass (``sampler/batch.py``); the
     #: worker then skips its own capture.  Derived state, not configuration
@@ -107,13 +107,14 @@ class RunOutput:
     iterations: list[IterationRecord] = field(default_factory=list)
     run: RunResult | None = None
     cycles_sampled: int = 0
-    sample_seconds: float = 0.0
     #: True when this output was replayed from the trace cache.
     from_cache: bool = False
     #: Instructions skipped via functional fast-forward (0 = full sim).
     ff_steps: int = 0
-    #: Per-stage time breakdown when the task requested profiling.
-    profile: object | None = None
+    #: The run's span tree (fast-forward, warm-up, core or batch-core,
+    #: fallback), on the first output of each lane group; the caller
+    #: adopts it into its own tree.  None on cache replays.
+    span: Span | None = None
     #: Content address of the checkpoint this run used (None = no
     #: checkpointing).  Persisted with cached traces so ``cache prune`` can
     #: tell live checkpoints from orphans.
@@ -126,79 +127,84 @@ class RunOutput:
     divergences: tuple = ()
 
 
-def _checkpoints_for(tasks: list[RunTask]) -> tuple[list, list, float]:
-    """Each task's fast-forward checkpoint, the store key it lives under,
-    and the seconds spent obtaining them.
+def _checkpoints_for(tasks: list[RunTask]) -> tuple[list, list]:
+    """Each task's fast-forward checkpoint and the store key it lives under.
 
     The batch prepass attaches both to the tasks it covers; anything still
     missing is keyed (once) and loaded from the store or captured here.
     """
-    started = time.perf_counter()
     checkpoints = [task.checkpoint for task in tasks]
     keys = [task.checkpoint_key for task in tasks]
     if tasks[0].warmup_insts is None:
-        return checkpoints, keys, 0.0
+        return checkpoints, keys
     from repro.sampler.checkpoint import (
         CheckpointStore,
         checkpoint_key,
         load_or_capture,
     )
 
-    for lane, task in enumerate(tasks):
-        store = (CheckpointStore(task.checkpoint_dir)
-                 if task.checkpoint_dir else None)
-        if store is not None and keys[lane] is None:
-            keys[lane] = checkpoint_key(task.program, task.memory_map,
-                                        task.warmup_insts)
-        if checkpoints[lane] is None:
-            checkpoints[lane] = load_or_capture(
-                task.program, memory_map=task.memory_map,
-                warmup_insts=task.warmup_insts, store=store, key=keys[lane])
-    return checkpoints, keys, time.perf_counter() - started
+    with span("fast-forward"):
+        for lane, task in enumerate(tasks):
+            store = (CheckpointStore(task.checkpoint_dir)
+                     if task.checkpoint_dir else None)
+            if store is not None and keys[lane] is None:
+                keys[lane] = checkpoint_key(task.program, task.memory_map,
+                                            task.warmup_insts)
+            if checkpoints[lane] is None:
+                checkpoints[lane] = load_or_capture(
+                    task.program, memory_map=task.memory_map,
+                    warmup_insts=task.warmup_insts, store=store,
+                    key=keys[lane])
+    return checkpoints, keys
+
+
+def _phase(core, tracer, name: str, profile: bool) -> Span:
+    """Open run phase ``name``; the tracer's ``parse`` rows (and with
+    ``profile`` the per-stage core rows) land under it.  Iteration
+    finalize runs inside the core's commit stage, so when profiling its
+    ``parse`` row nests under ``commit``."""
+    phase = span(name)
+    if profile:
+        core.profiler = tuple(phase.child(label) for label in STAGE_LABELS)
+    tracer.span = core.profiler[0] if profile else phase
+    return phase
 
 
 def _run_core(core, tracer, tasks: list[RunTask], checkpoints: list,
-              ff_seconds: float):
+              phase: str):
     """The set-up and run shared by the scalar and the lane-batched core.
 
-    Attaches commit logging and the profiler, restores the fast-forward
-    checkpoint(s), warms the configured D-cache regions, attributes the
-    pre-ROI cycles to the profiler's warm-up phase, and runs to the end.
-    Returns ``(run result, instructions fast-forwarded)``.
+    Attaches commit logging, restores the fast-forward checkpoint(s),
+    warms the configured D-cache regions, runs the pre-ROI cycles under a
+    ``warm-up`` span and the rest under ``phase``.  Returns ``(run result,
+    instructions fast-forwarded)``.
     """
     head = tasks[0]
     if head.log_commits:
         core.commit_listener = tracer.on_commit
-    if head.profile:
-        from repro.util.profiling import StageProfile
-
-        core.profiler = StageProfile()
     checkpoint = checkpoints[0]
     if checkpoint is not None and checkpoint.steps > 0:
         # A step-0 checkpoint is the reset state: skip the restore so the
         # run is the full-simulation code path, not merely equivalent to it.
-        started = time.perf_counter()
-        if len(tasks) > 1:
-            core.restore_architectural_states(checkpoints)
-        else:
-            core.restore_architectural_state(checkpoint)
-        ff_seconds += time.perf_counter() - started
+        with span("fast-forward"):
+            if len(tasks) > 1:
+                core.restore_architectural_states(checkpoints)
+            else:
+                core.restore_architectural_state(checkpoint)
     for symbol, length in head.warm_regions:
         base = head.program.symbols[symbol]
         for address in range(base, base + length, 64):
             core.dcache.warm_line(address)
-    ff_steps = checkpoint.steps if checkpoint is not None else 0
-    if core.profiler is not None:
-        core.profiler.fastforward_seconds += ff_seconds
-        core.profiler.ff_steps += ff_steps
-        # Attribute pre-ROI cycle-accurate simulation (the warm-up replay,
-        # or the whole prologue when checkpointing is off) to its own phase.
-        started = time.perf_counter()
+    # Pre-ROI cycle-accurate simulation: the warm-up replay, or the whole
+    # prologue when checkpointing is off.
+    with _phase(core, tracer, "warm-up", head.profile):
         while (not core.halted and not tracer.roi_seen
                 and core.cycle < head.max_cycles):
             core.step()
-        core.profiler.warmup_seconds += time.perf_counter() - started
-    return core.run(max_cycles=head.max_cycles), ff_steps
+    with _phase(core, tracer, phase, head.profile):
+        result = core.run(max_cycles=head.max_cycles)
+    current_span().count("cycles", core.stats.cycles)
+    return result, checkpoint.steps if checkpoint is not None else 0
 
 
 def _check_exit(task: RunTask, exit_code: int) -> None:
@@ -218,31 +224,33 @@ def execute_run(task: RunTask) -> RunOutput:
 
     This is the worker entry point: module-level so it pickles under every
     ``multiprocessing`` start method, and self-contained so the same code
-    path serves in-process runs, the pool workers and cache misses.
+    path serves in-process runs, the pool workers and cache misses.  The
+    run's span is named ``run <config>``, so a sweep's legs stay apart
+    under one ``execute`` span.
     """
-    tracer = MicroarchTracer(features=task.features, keep_raw=task.keep_raw,
-                             log_commits=task.log_commits,
-                             pruned=task.pruned)
-    tracer.timed = True
-    tracer.begin_run(task.run_index)
-    checkpoints, keys, ff_seconds = _checkpoints_for([task])
-    core = Core(
-        task.program, task.config,
-        memory_map=task.memory_map,
-        kernel=ProxyKernel(memory_map=task.memory_map or MemoryMap()),
-        tracer=tracer,
-    )
-    result, ff_steps = _run_core(core, tracer, [task], checkpoints,
-                                 ff_seconds)
-    _check_exit(task, result.exit_code)
+    with Span(f"run {task.config.name}") as root:
+        tracer = MicroarchTracer(features=task.features,
+                                 keep_raw=task.keep_raw,
+                                 log_commits=task.log_commits,
+                                 pruned=task.pruned)
+        tracer.begin_run(task.run_index)
+        checkpoints, keys = _checkpoints_for([task])
+        core = Core(
+            task.program, task.config,
+            memory_map=task.memory_map,
+            kernel=ProxyKernel(memory_map=task.memory_map or MemoryMap()),
+            tracer=tracer,
+        )
+        result, ff_steps = _run_core(core, tracer, [task], checkpoints,
+                                     "core")
+        _check_exit(task, result.exit_code)
     return RunOutput(
         run_index=task.run_index,
         iterations=tracer.iterations,
         run=result,
         cycles_sampled=tracer.cycles_sampled,
-        sample_seconds=tracer.sample_seconds + tracer.finalize_seconds,
         ff_steps=ff_steps,
-        profile=core.profiler,
+        span=root,
         checkpoint_key=keys[0],
     )
 
@@ -264,15 +272,13 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
                          keep_raw=head.keep_raw,
                          log_commits=head.log_commits,
                          pruned=head.pruned)
-    tracer.timed = True
     tracer.begin_lane_runs([task.run_index for task in tasks])
-    checkpoints, keys, ff_seconds = _checkpoints_for(tasks)
+    checkpoints, keys = _checkpoints_for(tasks)
     core = BatchCore(
         [task.program for task in tasks], head.config,
         memory_map=head.memory_map,
         tracer=tracer,
     )
-    run_started = time.perf_counter()
     have = sum(1 for ckpt in checkpoints if ckpt is not None)
     if 0 < have < n_lanes:
         # Some lanes checkpointed, some not: they cannot share a pipeline.
@@ -283,14 +289,10 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
         if any(entry != heads[0] for entry in heads[1:]):
             core._diverge("checkpoint", heads[0][0], "<restore>", heads)
     _result, ff_steps = _run_core(core, tracer, tasks, checkpoints,
-                                  ff_seconds)
-    if core.profiler is not None:
-        core.profiler.batchcore_seconds += time.perf_counter() - run_started
-        core.profiler.batchcore_runs += 1
+                                  "batch-core")
     for lane, task in enumerate(tasks):
         _check_exit(task, core.kernel.kernels[lane].exit_code)
     outputs = []
-    sample_seconds = tracer.sample_seconds + tracer.finalize_seconds
     for lane, task in enumerate(tasks):
         kernel = core.kernel.kernels[lane]
         outputs.append(RunOutput(
@@ -304,9 +306,7 @@ def _execute_lockstep(tasks: list[RunTask]) -> list[RunOutput]:
                 console=kernel.console_text,
             ),
             cycles_sampled=tracer.cycles_sampled,
-            sample_seconds=sample_seconds if lane == 0 else 0.0,
             ff_steps=ff_steps,
-            profile=core.profiler if lane == 0 else None,
             checkpoint_key=keys[lane],
         ))
     return outputs
@@ -317,42 +317,45 @@ def execute_run_batch(tasks: list[RunTask]) -> list[RunOutput]:
 
     On :class:`~repro.uarch.batch_core.LaneDivergence` the lanes are
     partitioned by their divergence keys (lanes that still agree stay
-    batched together) and re-run from the start; the event — with lanes
-    remapped to campaign run indices — is attached to the group's first
-    output as a first-class leak signal.
+    batched together) and re-run from the start under a ``fallback`` span;
+    the event — with lanes remapped to campaign run indices — is attached
+    to the group's first output as a first-class leak signal.  The group's
+    span tree rides on that output too.
     """
     from repro.uarch.batch_core import LaneDivergence
 
     if len(tasks) == 1:
         return [execute_run(tasks[0])]
-    try:
-        return _execute_lockstep(tasks)
-    except LaneDivergence as exc:
-        fallback_started = time.perf_counter()
-        event = replace(exc.event, lanes=tuple(
-            tasks[lane].run_index for lane in exc.event.lanes))
-        groups: dict = {}
-        for lane, key in enumerate(exc.lane_keys):
-            groups.setdefault(key, []).append(lane)
-        if len(groups) == 1:
-            # Defensive: a divergence with one equality class cannot be
-            # partitioned — run every lane scalar.
-            groups = {lane: [lane] for lane in range(len(tasks))}
-        outputs: list[RunOutput | None] = [None] * len(tasks)
-        for members in groups.values():
-            results = execute_run_batch([tasks[lane] for lane in members])
-            for member, result in zip(members, results):
-                outputs[member] = result
-        events = [event]
-        for output in outputs:
-            if output.divergences:
+    with Span(f"run {tasks[0].config.name}") as root:
+        try:
+            outputs = _execute_lockstep(tasks)
+        except LaneDivergence as exc:
+            with span("fallback") as fallback:
+                event = replace(exc.event, lanes=tuple(
+                    tasks[lane].run_index for lane in exc.event.lanes))
+                groups: dict = {}
+                for lane, key in enumerate(exc.lane_keys):
+                    groups.setdefault(key, []).append(lane)
+                if len(groups) == 1:
+                    # Defensive: a divergence with one equality class
+                    # cannot be partitioned — run every lane scalar.
+                    groups = {lane: [lane] for lane in range(len(tasks))}
+                outputs = [None] * len(tasks)
+                for members in groups.values():
+                    results = execute_run_batch([tasks[lane]
+                                                 for lane in members])
+                    for member, result in zip(members, results):
+                        outputs[member] = result
+            events = [event]
+            for output in outputs:
                 events.extend(output.divergences)
                 output.divergences = ()
-        outputs[0].divergences = tuple(events)
-        if outputs[0].profile is not None:
-            outputs[0].profile.fallback_seconds += (
-                time.perf_counter() - fallback_started)
-        return outputs
+                if output.span is not None:
+                    fallback.adopt(output.span)
+                    output.span = None
+            outputs[0].divergences = tuple(events)
+    outputs[0].span = root
+    return outputs
 
 
 def _lane_groups(tasks: list[RunTask]) -> list[list[RunTask]]:
@@ -413,14 +416,15 @@ def count(workload_name: str, **counts: int) -> None:
 def execute_groups(groups: list[list[RunTask]], *, jobs: int | None = 1,
                    pool: "WorkerPool | None" = None) -> list[tuple]:
     """Execute lane groups; returns ``[(outputs, seconds), ...]`` in group
-    order, ``seconds`` being the group's in-worker wall-clock.
+    order, ``seconds`` being the group's in-worker wall-clock (its span's).
 
     The one dispatcher behind every front end.  With a ``pool`` (a
     long-lived :class:`WorkerPool`, e.g. the campaign service's) each lane
     group is one shard.  Without one, ``jobs > 1`` and more than one group
     open a transient pool for the call; anything else runs in-process.
     Results are gathered in submission order, so completion order never
-    influences the merge.  A batched-core group must land whole in one
+    influences the merge, and each group's span tree is adopted into the
+    caller's current span.  A batched-core group must land whole in one
     worker, and without core batching every group is a singleton.
     """
     if pool is None:
@@ -432,15 +436,15 @@ def execute_groups(groups: list[list[RunTask]], *, jobs: int | None = 1,
         count(groups[0][0].workload_name, dispatched=len(groups))
     futures = ([pool.submit(group) for group in groups]
                if pool is not None else None)
+    parent = current_span()
     results = []
     for index, group in enumerate(groups):
-        if futures is None:
-            started = time.perf_counter()
-            results.append((execute_run_batch(group),
-                            time.perf_counter() - started))
-        else:
-            results.append((futures[index].result(),
-                            futures[index].seconds))
+        outputs = (futures[index].result() if futures is not None
+                   else execute_run_batch(group))
+        tree = outputs[0].span
+        if parent is not None:
+            parent.adopt(tree)
+        results.append((outputs, tree.seconds))
         count(group[0].workload_name, simulated=len(group))
     return results
 
@@ -525,30 +529,22 @@ def _pool_worker(conn, parent_ends, wake_fds) -> None:
         if item is None:
             return
         shard_id, tasks = item
-        started = time.perf_counter()
         try:
             outputs = []
             for group in _lane_groups(tasks):
                 for _ in group:
                     maybe_inject_worker_fault()
                 outputs.extend(execute_run_batch(group))
-            reply = (shard_id, True, outputs,
-                     time.perf_counter() - started)
+            reply = (shard_id, True, outputs)
         except WorkloadError as exc:
             # A misbehaving workload reaches the caller as itself.
-            reply = (shard_id, False, exc, 0.0)
+            reply = (shard_id, False, exc)
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            reply = (shard_id, False, f"{type(exc).__name__}: {exc}", 0.0)
+            reply = (shard_id, False, f"{type(exc).__name__}: {exc}")
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             return
-
-
-class _ShardFuture(concurrent.futures.Future):
-    """A shard's result; ``seconds`` is its in-worker wall-clock once done."""
-
-    seconds = 0.0
 
 
 class _Shard:
@@ -559,7 +555,7 @@ class _Shard:
     def __init__(self, shard_id: int, tasks: list[RunTask]):
         self.shard_id = shard_id
         self.tasks = tasks
-        self.future = _ShardFuture()
+        self.future = concurrent.futures.Future()
         self.dispatches = 0
 
 
@@ -580,8 +576,8 @@ class WorkerPool:
 
     ``submit(tasks)`` enqueues one *shard* (a list of :class:`RunTask`) and
     returns a :class:`concurrent.futures.Future` resolving to the shard's
-    ``list[RunOutput]`` in task order (its ``seconds`` attribute then holds
-    the shard's in-worker wall-clock).  Shards are assigned to idle workers
+    ``list[RunOutput]`` in task order (each lane group's span tree on its
+    first output).  Shards are assigned to idle workers
     by a dispatcher thread; a worker that dies mid-shard (crash, OOM kill,
     :data:`FAULT_TOKEN_ENV` injection) is detected immediately via pipe
     EOF, replaced with a fresh process, and its shard re-dispatched — up to
@@ -734,7 +730,7 @@ class WorkerPool:
                     handle.shard = None
 
     def _on_result(self, handle: _WorkerHandle, reply) -> None:
-        shard_id, ok, payload, seconds = reply
+        shard_id, ok, payload = reply
         shard = handle.shard
         handle.shard = None
         if shard is None or shard.shard_id != shard_id:
@@ -743,7 +739,6 @@ class WorkerPool:
             self._stats["shards_completed"] += 1
             self._stats["tasks_completed"] += len(shard.tasks)
             if not shard.future.done():
-                shard.future.seconds = seconds
                 shard.future.set_result(payload)
         else:
             self._stats["shards_failed"] += 1
@@ -825,11 +820,6 @@ def merge_outputs(outputs: list[RunOutput],
             record.run_index = position
             tracer.append_record(record)  # re-stamps the global index
         tracer.cycles_sampled += output.cycles_sampled
-        if not output.from_cache:
-            # Cache hits replay stored snapshots without sampling anything
-            # this invocation; charging their original sample time here would
-            # make the stage-time report claim work that never happened.
-            tracer.sample_seconds += output.sample_seconds
         tracer.run_index = position
         if output.iterations:
             tracer.roi_seen = True

@@ -8,7 +8,6 @@ class/state association per tracked unit with chi-squared + Cramér's V, and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -26,21 +25,7 @@ from repro.sampler.stats import (
 )
 from repro.trace.features import FEATURE_ORDER
 from repro.uarch.config import CoreConfig, MEGA_BOOM
-
-
-@dataclass(frozen=True)
-class StageTimings:
-    """Wall-clock breakdown of the four MicroSampler stages (Table VI)."""
-
-    simulate_seconds: float
-    parse_seconds: float
-    stats_seconds: float
-    extract_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return (self.simulate_seconds + self.parse_seconds
-                + self.stats_seconds + self.extract_seconds)
+from repro.util.profiling import scope, span, stage_seconds
 
 
 @dataclass
@@ -110,9 +95,9 @@ class LeakageReport:
     n_iterations: int
     n_classes: int
     units: dict[str, UnitResult] = field(default_factory=dict)
-    timings: StageTimings | None = None
-    #: Per-stage simulator time breakdown (``--profile``), merged over all
-    #: simulated runs (:class:`repro.util.profiling.StageProfile`).
+    #: The analysis's span tree (:class:`repro.util.profiling.Span`).
+    spans: object | None = None
+    #: The same tree when ``--profile`` was requested, else None.
     profile: object | None = None
     #: Lockstep divergences observed by the batch prepass and by the
     #: lane-batched cycle-accurate core
@@ -135,6 +120,14 @@ class LeakageReport:
     @property
     def leakage_detected(self) -> bool:
         return bool(self.leaky_units)
+
+    @property
+    def timings(self) -> dict | None:
+        """Table VI stage seconds (and their total) off the span tree."""
+        if self.spans is None:
+            return None
+        stages = stage_seconds(self.spans)
+        return {**stages, "total": sum(stages.values())}
 
     def cramers_v_by_unit(self) -> dict[str, float]:
         return {fid: unit.association.cramers_v
@@ -226,8 +219,8 @@ class MicroSampler:
         #: (plus a label-permutation significance test) as a cross-check.
         self.measure_mi = measure_mi
         self.mi_permutations = mi_permutations
-        #: Attach a per-stage wall-clock profiler to every simulated core
-        #: and surface the merged breakdown on ``LeakageReport.profile``.
+        #: Add the per-stage core rows to every simulated run's span and
+        #: surface the whole tree on ``LeakageReport.profile``.
         self.profile = profile
         #: Run the secret-taint prescreen (:mod:`repro.taint`) before
         #: simulation: prune units taint proves secret-free, restrict
@@ -243,16 +236,18 @@ class MicroSampler:
     def analyze(self, workload: Workload, *,
                 max_cycles_per_run: int = 5_000_000) -> LeakageReport:
         """Run the complete Figure 1 flow on ``workload``."""
-        taint_summary = self.compute_taint(workload) if self.taint else None
-        campaign = run_campaign(
-            workload, self.config, features=self.features,
-            max_cycles_per_run=max_cycles_per_run,
-            jobs=self.jobs, pool=self.pool, cache=self.cache,
-            warmup_insts=self.warmup_insts,
-            batch_lanes=self.batch_lanes, profile=self.profile,
-            pruned=taint_summary.pruned if taint_summary else (),
-        )
-        return self.analyze_campaign(campaign, taint=taint_summary)
+        with span("analyze"):
+            taint_summary = (self.compute_taint(workload) if self.taint
+                             else None)
+            campaign = run_campaign(
+                workload, self.config, features=self.features,
+                max_cycles_per_run=max_cycles_per_run,
+                jobs=self.jobs, pool=self.pool, cache=self.cache,
+                warmup_insts=self.warmup_insts,
+                batch_lanes=self.batch_lanes, profile=self.profile,
+                pruned=taint_summary.pruned if taint_summary else (),
+            )
+            return self.analyze_campaign(campaign, taint=taint_summary)
 
     def compute_taint(self, workload: Workload, *,
                       publicness=None) -> TaintSummary:
@@ -268,11 +263,12 @@ class MicroSampler:
         from repro.taint import compute_publicness
         from repro.uarch.reachability import reachable_features
 
-        if publicness is None:
-            publicness = compute_publicness(workload,
-                                            batch_lanes=self.batch_lanes)
-        reachable = reachable_features(publicness.merged, self.config,
-                                       self.features)
+        with span("taint"):
+            if publicness is None:
+                publicness = compute_publicness(workload,
+                                                batch_lanes=self.batch_lanes)
+            reachable = reachable_features(publicness.merged, self.config,
+                                           self.features)
         return TaintSummary(
             publicness=publicness,
             pruned=tuple(f for f in self.features if f not in reachable),
@@ -281,7 +277,12 @@ class MicroSampler:
 
     def analyze_campaign(self, campaign: CampaignResult, *,
                          taint: TaintSummary | None = None) -> LeakageReport:
-        """Stages ③ and ④ on an existing simulation campaign."""
+        """Stages ③ and ④ on an existing simulation campaign.
+
+        Their ``stats`` and ``extract`` spans open under the current span,
+        or under the campaign's own when none is open; that span becomes
+        the report's tree.
+        """
         iterations = [r for r in campaign.iterations
                       if r.ordinal >= self.warmup_iterations]
         report = LeakageReport(
@@ -291,40 +292,35 @@ class MicroSampler:
             n_classes=len({record.label for record in iterations}),
             divergences=list(getattr(campaign, "divergences", None) or []),
         )
-        stats_started = time.perf_counter()
-        associations = unit_associations(iterations, self.features)
-        associations_notiming = (
-            unit_associations(iterations, self.features, notiming=True)
-            if self.analyze_timing_removed else {})
-        for feature_id in self.features:
-            report.units[feature_id] = UnitResult(
-                feature_id=feature_id,
-                association=associations[feature_id],
-                association_notiming=associations_notiming.get(feature_id),
-            )
-        if self.measure_mi:
-            mi_by_unit = mutual_information_by_unit(
-                iterations, self.features,
-                permutations=self.mi_permutations,
-            )
-            for feature_id, mi in mi_by_unit.items():
-                report.units[feature_id].mi = mi
-        stats_seconds = time.perf_counter() - stats_started
-
-        extract_started = time.perf_counter()
-        if self.extract_root_causes_for_leaky:
-            for feature_id, unit in report.units.items():
-                if self._flagged(unit.association):
-                    unit.root_cause = extract_root_causes(iterations, feature_id)
-        extract_seconds = time.perf_counter() - extract_started
-
-        report.timings = StageTimings(
-            simulate_seconds=campaign.simulate_seconds,
-            parse_seconds=campaign.parse_seconds,
-            stats_seconds=stats_seconds,
-            extract_seconds=extract_seconds,
-        )
-        report.profile = campaign.profile
+        with scope(campaign.span, "analyze") as root:
+            with span("stats"):
+                associations = unit_associations(iterations, self.features)
+                associations_notiming = (
+                    unit_associations(iterations, self.features,
+                                      notiming=True)
+                    if self.analyze_timing_removed else {})
+                for feature_id in self.features:
+                    report.units[feature_id] = UnitResult(
+                        feature_id=feature_id,
+                        association=associations[feature_id],
+                        association_notiming=associations_notiming.get(
+                            feature_id),
+                    )
+                if self.measure_mi:
+                    mi_by_unit = mutual_information_by_unit(
+                        iterations, self.features,
+                        permutations=self.mi_permutations,
+                    )
+                    for feature_id, mi in mi_by_unit.items():
+                        report.units[feature_id].mi = mi
+            with span("extract"):
+                if self.extract_root_causes_for_leaky:
+                    for feature_id, unit in report.units.items():
+                        if self._flagged(unit.association):
+                            unit.root_cause = extract_root_causes(
+                                iterations, feature_id)
+        report.spans = root
+        report.profile = root if self.profile else None
         if taint is not None:
             for feature_id, unit in report.units.items():
                 if feature_id in taint.pruned:

@@ -54,12 +54,9 @@ def render_report(report: LeakageReport, *, show_notiming: bool = False) -> str:
     else:
         lines.append("No statistically significant correlation found.")
     if report.timings is not None:
-        t = report.timings
-        lines.append(
-            f"stage times: simulate={t.simulate_seconds:.2f}s "
-            f"parse={t.parse_seconds:.2f}s stats={t.stats_seconds:.2f}s "
-            f"extract={t.extract_seconds:.2f}s"
-        )
+        lines.append("stage times: " + " ".join(
+            f"{stage}={seconds:.2f}s"
+            for stage, seconds in report.timings.items() if stage != "total"))
     if report.profile is not None:
         lines.append("")
         lines.append(report.profile.render())
@@ -204,13 +201,7 @@ def report_to_dict(report: LeakageReport) -> dict:
         "units": units,
     }
     if report.timings is not None:
-        payload["timings_seconds"] = {
-            "simulate": report.timings.simulate_seconds,
-            "parse": report.timings.parse_seconds,
-            "stats": report.timings.stats_seconds,
-            "extract": report.timings.extract_seconds,
-            "total": report.timings.total_seconds,
-        }
+        payload["timings_seconds"] = report.timings
     if report.profile is not None:
         payload["profile"] = report.profile.to_dict()
     if report.taint is not None:

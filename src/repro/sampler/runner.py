@@ -16,7 +16,6 @@ those triples once even while the first simulation is still running.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.isa.assembler import Program, assemble
@@ -32,6 +31,7 @@ from repro.sampler.exec_backend import (
 from repro.trace.tracer import MicroarchTracer
 from repro.uarch.config import CoreConfig, MEGA_BOOM
 from repro.uarch.core import RunResult
+from repro.util.profiling import current_span, span
 
 
 class WorkloadError(RuntimeError):
@@ -96,14 +96,12 @@ class CampaignResult:
     config: CoreConfig
     tracer: MicroarchTracer
     runs: list[RunResult]
-    simulate_seconds: float
-    parse_seconds: float
     #: How many of the runs were replayed from the trace cache.
     n_cached_runs: int = 0
-    #: Merged per-stage time breakdown when profiling was requested
-    #: (:class:`repro.util.profiling.StageProfile`); cached runs contribute
-    #: nothing, so an all-cached campaign reports ``None``.
-    profile: object | None = None
+    #: The span the campaign was finalized under (``campaign`` for
+    #: :func:`run_campaign`): its ``prepare``/``execute``/``finalize``
+    #: children are the campaign's timings.  None when nothing was open.
+    span: object | None = None
     #: Instructions skipped via functional fast-forward, summed over runs
     #: (0 when checkpointing is disabled or nothing could be skipped).
     ff_steps_total: int = 0
@@ -187,8 +185,6 @@ class CampaignPlan:
     features: object
     keep_raw: object
     log_commits: bool
-    profile: bool
-    started: float
     #: Per-task content-addressed cache keys (None when cache is off).
     keys: list[str] | None = None
     #: task index -> cache key of an identical input simulated elsewhere
@@ -198,11 +194,6 @@ class CampaignPlan:
     to_run: list[int] = field(default_factory=list)
     n_cached: int = 0
     divergences: list = field(default_factory=list)
-    #: Wall-clock the batch checkpoint prepass spent capturing (or loading)
-    #: checkpoints while this plan was prepared.  The sweep engine reports
-    #: it separately: the first config leg pays the capture, every later
-    #: leg's prepass degenerates to store loads.
-    capture_seconds: float = 0.0
     #: Cache keys this plan has claimed and not yet released.
     claimed: set = field(default_factory=set)
     #: cache key -> the other caller's claim future, for duplicates of
@@ -257,6 +248,10 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     """
     if not workload.inputs:
         raise WorkloadError(f"workload {workload.name!r} has no inputs")
+    if programs is not None and len(programs) != len(workload.inputs):
+        raise WorkloadError(
+            f"pre-patched program count ({len(programs)}) does not match "
+            f"input count ({len(workload.inputs)})")
     if cache is True:
         from repro.sampler.trace_cache import TraceCache
 
@@ -265,62 +260,54 @@ def prepare_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
         from repro.sampler.checkpoint import CheckpointStore
 
         checkpoint_dir = str(CheckpointStore.for_cache_root(cache.root).root)
-    # Resolve the lockstep lane width up front: ``core_lanes`` joins every
-    # task's cache key (a lane-batched run records the divergence events
-    # of its lane group), so it must be stamped before the cache is
-    # consulted.
-    core_lanes = None
-    if batch_lanes is not None:
-        from repro.sampler.batch import resolve_batch_lanes
+    with span("prepare") as prepare:
+        # Resolve the lockstep lane width up front: ``core_lanes`` joins
+        # every task's cache key (a lane-batched run records the divergence
+        # events of its lane group), so it must be stamped before the cache
+        # is consulted.
+        core_lanes = None
+        if batch_lanes is not None:
+            from repro.sampler.batch import resolve_batch_lanes
 
-        width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
-        core_lanes = width if width > 1 else None
-    if programs is not None and len(programs) != len(workload.inputs):
-        raise WorkloadError(
-            f"pre-patched program count ({len(programs)}) does not match "
-            f"input count ({len(workload.inputs)})")
-    program = workload.assemble() if programs is None else None
-    tasks = _build_tasks(
-        workload, program, config, features=features, keep_raw=keep_raw,
-        log_commits=log_commits, memory_map=memory_map,
-        max_cycles_per_run=max_cycles_per_run,
-        expect_exit_code=expect_exit_code,
-        warmup_insts=warmup_insts,
-        checkpoint_dir=checkpoint_dir,
-        profile=profile,
-        pruned=pruned,
-        core_lanes=core_lanes,
-        programs=programs,
-    )
-
-    plan = CampaignPlan(
-        workload=workload, config=config, tasks=tasks, cache=cache,
-        outputs=[None] * len(tasks), features=features, keep_raw=keep_raw,
-        log_commits=log_commits, profile=profile, started=time.perf_counter())
-    try:
-        _claim_and_replay(plan)
-        if warmup_insts is not None and batch_lanes is not None \
-                and plan.to_run:
-            from repro.sampler.batch import (
-                attach_batch_checkpoints,
-                resolve_batch_lanes,
-            )
-
-            lanes = resolve_batch_lanes(batch_lanes, len(plan.to_run))
-            if lanes > 1:
-                capture_started = time.perf_counter()
-                plan.divergences = attach_batch_checkpoints(
-                    tasks, plan.to_run, lanes=lanes,
-                    warmup_insts=warmup_insts,
-                    checkpoint_dir=checkpoint_dir,
+            width = resolve_batch_lanes(batch_lanes, len(workload.inputs))
+            core_lanes = width if width > 1 else None
+        program = workload.assemble() if programs is None else None
+        tasks = _build_tasks(
+            workload, program, config, features=features,
+            keep_raw=keep_raw, log_commits=log_commits,
+            memory_map=memory_map, max_cycles_per_run=max_cycles_per_run,
+            expect_exit_code=expect_exit_code, warmup_insts=warmup_insts,
+            checkpoint_dir=checkpoint_dir, profile=profile, pruned=pruned,
+            core_lanes=core_lanes, programs=programs,
+        )
+        plan = CampaignPlan(
+            workload=workload, config=config, tasks=tasks, cache=cache,
+            outputs=[None] * len(tasks), features=features,
+            keep_raw=keep_raw, log_commits=log_commits)
+        try:
+            _claim_and_replay(plan)
+            if warmup_insts is not None and batch_lanes is not None \
+                    and plan.to_run:
+                from repro.sampler.batch import (
+                    attach_batch_checkpoints,
+                    resolve_batch_lanes,
                 )
-                plan.capture_seconds = (time.perf_counter()
-                                        - capture_started)
-        count(workload.name, campaigns=1, inputs=len(tasks),
-              cached=plan.n_cached)
-    except BaseException:
-        plan.release()
-        raise
+
+                lanes = resolve_batch_lanes(batch_lanes, len(plan.to_run))
+                if lanes > 1:
+                    with span("capture"):
+                        plan.divergences = attach_batch_checkpoints(
+                            tasks, plan.to_run, lanes=lanes,
+                            warmup_insts=warmup_insts,
+                            checkpoint_dir=checkpoint_dir,
+                        )
+            count(workload.name, campaigns=1, inputs=len(tasks),
+                  cached=plan.n_cached)
+        except BaseException:
+            plan.release()
+            raise
+        prepare.count("inputs", len(tasks))
+        prepare.count("cached", plan.n_cached)
     return plan
 
 
@@ -377,52 +364,45 @@ def finalize_campaign(plan: CampaignPlan, *,
     what order shards executed.
     """
     name = plan.workload.name
-    for index, key in plan.duplicate_of.items():
-        holder = plan.waiting.get(key)
-        output = (plan.cache.await_claim(key, holder) if holder is not None
-                  else plan.cache.load(key))
-        if output is None:
-            # Nothing stored (the store or the other caller failed).
-            [(outputs, _seconds)] = execute_groups([[plan.tasks[index]]],
-                                                   pool=pool)
-            plan.fill(index, outputs[0])
-            continue
-        plan.outputs[index] = output
-        count(name, waited=int(holder is not None), cached=int(holder is None))
-    missing = [index for index, output in enumerate(plan.outputs)
-               if output is None]
-    if missing:
-        raise WorkloadError(
-            f"campaign {plan.workload.name!r} finalized with "
-            f"{len(missing)} unexecuted input(s): {missing[:5]}")
-
-    tracer = MicroarchTracer(features=plan.features, keep_raw=plan.keep_raw,
-                             log_commits=plan.log_commits,
-                             pruned=plan.tasks[0].pruned if plan.tasks else ())
-    tracer.timed = True
-    runs = merge_outputs(plan.outputs, tracer)
+    owner = current_span()
+    with span("finalize"):
+        for index, key in plan.duplicate_of.items():
+            holder = plan.waiting.get(key)
+            output = (plan.cache.await_claim(key, holder)
+                      if holder is not None else plan.cache.load(key))
+            if output is None:
+                # Nothing stored (the store or the other caller failed).
+                with span("execute"):
+                    [(outputs, _seconds)] = execute_groups(
+                        [[plan.tasks[index]]], pool=pool)
+                plan.fill(index, outputs[0])
+                continue
+            plan.outputs[index] = output
+            count(name, waited=int(holder is not None),
+                  cached=int(holder is None))
+        missing = [index for index, output in enumerate(plan.outputs)
+                   if output is None]
+        if missing:
+            raise WorkloadError(
+                f"campaign {plan.workload.name!r} finalized with "
+                f"{len(missing)} unexecuted input(s): {missing[:5]}")
+        tracer = MicroarchTracer(
+            features=plan.features, keep_raw=plan.keep_raw,
+            log_commits=plan.log_commits,
+            pruned=plan.tasks[0].pruned if plan.tasks else ())
+        runs = merge_outputs(plan.outputs, tracer)
     # Core-phase lockstep divergences ride on each batch group's first
     # output; gather them after the prepass events, in input order.
     divergences = list(plan.divergences)
     for output in plan.outputs:
         divergences.extend(output.divergences)
-    elapsed = time.perf_counter() - plan.started
-    parse_seconds = tracer.sample_seconds
-    merged_profile = None
-    if plan.profile:
-        from repro.util.profiling import merge_profiles
-
-        merged_profile = merge_profiles(output.profile
-                                        for output in plan.outputs)
     return CampaignResult(
         workload=plan.workload,
         config=plan.config,
         tracer=tracer,
         runs=runs,
-        simulate_seconds=max(elapsed - parse_seconds, 0.0),
-        parse_seconds=parse_seconds,
         n_cached_runs=plan.n_cached,
-        profile=merged_profile,
+        span=owner,
         ff_steps_total=sum(output.ff_steps for output in plan.outputs),
         divergences=divergences,
     )
@@ -466,23 +446,27 @@ def run_campaign(workload: Workload, config: CoreConfig = MEGA_BOOM, *,
     so verdicts and per-unit digests stay bit-identical to scalar runs;
     any cross-lane divergence in timing-relevant state falls the affected
     lanes back to scalar simulation.  Divergences observed by either phase
-    are returned on ``CampaignResult.divergences``.  ``profile`` attaches a
-    per-stage wall-clock profiler to every simulated core and reports the
-    merged breakdown on ``CampaignResult.profile`` (cache hits, which do no
-    simulation work, contribute nothing).
+    are returned on ``CampaignResult.divergences``.  The campaign's
+    ``prepare``/``execute``/``finalize`` spans sit under a ``campaign``
+    span on ``CampaignResult.span``; ``profile`` adds the per-stage core
+    rows to every simulated run's subtree (cache hits, which do no
+    simulation work, contribute none).
     """
-    plan = prepare_campaign(
-        workload, config, features=features, keep_raw=keep_raw,
-        log_commits=log_commits, memory_map=memory_map,
-        max_cycles_per_run=max_cycles_per_run,
-        expect_exit_code=expect_exit_code, cache=cache,
-        warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
-        batch_lanes=batch_lanes, profile=profile, pruned=pruned,
-    )
-    try:
-        fresh = execute_tasks(plan.pending_tasks, jobs=jobs, pool=pool)
-        for index, output in zip(plan.to_run, fresh):
-            plan.fill(index, output)
-        return finalize_campaign(plan, pool=pool)
-    finally:
-        plan.release()
+    with span("campaign"):
+        plan = prepare_campaign(
+            workload, config, features=features, keep_raw=keep_raw,
+            log_commits=log_commits, memory_map=memory_map,
+            max_cycles_per_run=max_cycles_per_run,
+            expect_exit_code=expect_exit_code, cache=cache,
+            warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
+            batch_lanes=batch_lanes, profile=profile, pruned=pruned,
+        )
+        try:
+            with span("execute"):
+                fresh = execute_tasks(plan.pending_tasks, jobs=jobs,
+                                      pool=pool)
+                for index, output in zip(plan.to_run, fresh):
+                    plan.fill(index, output)
+            return finalize_campaign(plan, pool=pool)
+        finally:
+            plan.release()

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.sampler.contingency import ContingencyTable, build_contingency_table
+from repro.sampler.contingency import (ContingencyTable,
+                                      build_contingency_table, label_rows)
 
 #: Cohen's guidance as cited by the paper: correlation is strong for V > 0.5.
 STRONG_ASSOCIATION_THRESHOLD = 0.5
@@ -50,10 +51,10 @@ class AssociationResult:
 
 def chi_squared_statistic(table: ContingencyTable) -> tuple[float, int]:
     """Pearson chi-squared statistic and degrees of freedom (Eq. 3 and 4)."""
-    total = table.total
+    row_totals = table.row_totals()
+    total = sum(row_totals)
     if total == 0 or table.is_degenerate():
         return 0.0, 0
-    row_totals = table.row_totals()
     column_totals = table.column_totals()
     statistic = 0.0
     for i in range(table.n_rows):
@@ -79,20 +80,21 @@ def chi_squared_p_value(statistic: float, dof: int) -> float:
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 
-def _cramers_v_from_statistic(statistic: float, table: ContingencyTable) -> float:
+def _cramers_v_from_statistic(statistic: float, table: ContingencyTable,
+                              total: int) -> float:
     if table.is_degenerate():
         return 0.0
-    denominator = table.total * min(table.n_cols - 1, table.n_rows - 1)
+    denominator = total * min(table.n_cols - 1, table.n_rows - 1)
     if denominator == 0:
         return 0.0
     return math.sqrt(statistic / denominator)
 
 
 def _cramers_v_corrected_from_statistic(statistic: float,
-                                        table: ContingencyTable) -> float:
+                                        table: ContingencyTable,
+                                        n: int) -> float:
     if table.is_degenerate():
         return 0.0
-    n = table.total
     if n <= 1:
         return 0.0
     r, k = table.n_rows, table.n_cols
@@ -113,7 +115,7 @@ def cramers_v(table: ContingencyTable) -> float:
     hash): with no variation there is no measurable association.
     """
     statistic, _ = chi_squared_statistic(table)
-    return _cramers_v_from_statistic(statistic, table)
+    return _cramers_v_from_statistic(statistic, table, table.total)
 
 
 def cramers_v_corrected(table: ContingencyTable) -> float:
@@ -126,20 +128,21 @@ def cramers_v_corrected(table: ContingencyTable) -> float:
     data even with many snapshot-hash categories.
     """
     statistic, _ = chi_squared_statistic(table)
-    return _cramers_v_corrected_from_statistic(statistic, table)
+    return _cramers_v_corrected_from_statistic(statistic, table, table.total)
 
 
 def measure_association(table: ContingencyTable) -> AssociationResult:
     """Full association measurement for one contingency table."""
+    total = table.total
     statistic, dof = chi_squared_statistic(table)
     return AssociationResult(
         chi_squared=statistic,
         dof=dof,
         p_value=chi_squared_p_value(statistic, dof),
-        cramers_v=_cramers_v_from_statistic(statistic, table),
+        cramers_v=_cramers_v_from_statistic(statistic, table, total),
         cramers_v_corrected=_cramers_v_corrected_from_statistic(
-            statistic, table),
-        n_observations=table.total,
+            statistic, table, total),
+        n_observations=total,
         n_classes=table.n_rows,
         n_categories=table.n_cols,
     )
@@ -152,5 +155,7 @@ def score_columns(labels, columns) -> list[AssociationResult]:
     ``labels``: a unit's snapshot hashes for the per-unit verdicts, or the
     row digests at one cycle offset for the temporal scan.
     """
-    return [measure_association(build_contingency_table(labels, column))
+    rows = label_rows(labels)
+    return [measure_association(build_contingency_table(labels, column,
+                                                        rows=rows))
             for column in columns]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,6 +51,7 @@ from repro.sampler.stats import (
     STRONG_ASSOCIATION_THRESHOLD,
 )
 from repro.uarch.config import CoreConfig, MEGA_BOOM
+from repro.util.profiling import span
 
 
 # -- convergence sweeps (Section VII-D) --------------------------------------
@@ -144,25 +144,24 @@ def significance_sweep(workload_factory, *, sizes=(1, 2, 4, 8),
 # -- cross-config sweeps -----------------------------------------------------
 
 
+#: The sweep's config-invariant phases, paid once for every leg.
+SHARED_PHASES = ("taint", "assemble_patch")
+
+
 @dataclass
 class SweepLeg:
     """One core configuration's outcome within a cross-config sweep."""
 
     config: CoreConfig
     report: LeakageReport
-    #: Campaign planning wall-clock (cache consults, dedup, prepass attach).
-    plan_seconds: float
-    #: Checkpoint capture/load during planning — the first leg pays the
-    #: capture, later legs degenerate to store loads.
-    capture_seconds: float
-    #: In-worker wall-clock of this leg's simulated lane groups (0 when all
-    #: inputs replayed from cache).
-    execute_seconds: float
-    #: finalize + statistics + root-cause extraction wall-clock.
-    stats_seconds: float
     n_inputs: int
     n_cached: int
     n_simulated: int
+    #: The leg's span: planning (``prepare``, with the checkpoint
+    #: ``capture`` the first leg pays) and the merge + statistics
+    #: (``finalize``, ``stats``, ``extract``).  Its simulation runs under
+    #: the sweep's shared ``execute`` span.
+    span: object = None
 
     @property
     def name(self) -> str:
@@ -181,11 +180,11 @@ class SweepResult:
     workload_name: str
     n_inputs: int
     legs: list = field(default_factory=list)
-    #: Config-invariant phase wall-clock, paid once for the whole sweep
-    #: (``{"assemble_patch": s, "taint": s}``).
-    shared_seconds: dict = field(default_factory=dict)
-    #: End-to-end sweep wall-clock.
-    wall_seconds: float = 0.0
+    #: The sweep's span tree: the shared phases, one child per leg, and the
+    #: ``execute`` fan-out with one ``run <config>`` child per leg.
+    spans: object | None = None
+    #: The same tree when profiling was requested, else None.
+    profile: object | None = None
 
     @property
     def config_names(self) -> list:
@@ -214,6 +213,32 @@ class SweepResult:
                 row[leg.name] = (unit.association.cramers_v,
                                  unit.association.p_value, unit.leaky)
         return matrix
+
+    def phase_seconds(self) -> dict:
+        """The ``phases`` block of :func:`sweep_to_dict`, off the span tree."""
+        children = self.spans.children
+        execute = children["execute"].children
+        legs = {}
+        for leg in self.legs:
+            parts = leg.span.children
+            capture = parts["prepare"].children.get("capture")
+            run = execute.get(f"run {leg.name}")
+            legs[leg.name] = {
+                "plan_seconds": parts["prepare"].seconds,
+                "capture_seconds": capture.seconds if capture else 0.0,
+                "execute_seconds": run.seconds if run else 0.0,
+                "stats_seconds": sum(parts[name].seconds for name in
+                                     ("finalize", "stats", "extract")),
+                "n_inputs": leg.n_inputs,
+                "n_cached": leg.n_cached,
+                "n_simulated": leg.n_simulated,
+            }
+        return {
+            "shared_seconds": {name: children[name].seconds
+                               for name in SHARED_PHASES if name in children},
+            "legs": legs,
+            "wall_seconds": self.spans.seconds,
+        }
 
     def render(self) -> str:
         """Fixed-width verdict matrix plus the shared-vs-per-leg phase rows."""
@@ -247,22 +272,23 @@ class SweepResult:
             events = max((len(leg.report.divergences) for leg in self.legs))
             lines.append(f"lockstep divergences observed: up to {events} "
                          "event(s) per leg (see per-config reports)")
+        phases = self.phase_seconds()
         lines.append("")
         lines.append("shared phases (paid once for the whole sweep):")
-        lines.append(f"  assemble+patch   "
-                     f"{self.shared_seconds.get('assemble_patch', 0.0):8.3f} s")
-        if "taint" in self.shared_seconds:
-            lines.append(f"  taint prescreen  "
-                         f"{self.shared_seconds['taint']:8.3f} s")
+        for name, seconds in phases["shared_seconds"].items():
+            lines.append(f"  {name:<16} {seconds:8.3f} s")
         lines.append("per-config legs:")
-        for leg in self.legs:
+        for name, leg in phases["legs"].items():
             lines.append(
-                f"  {leg.name:<11} plan {leg.plan_seconds:6.3f} s "
-                f"(capture {leg.capture_seconds:6.3f} s)  "
-                f"simulate {leg.execute_seconds:7.3f} s  "
-                f"stats {leg.stats_seconds:6.3f} s  "
-                f"[{leg.n_simulated} simulated, {leg.n_cached} cached]")
-        lines.append(f"total wall-clock: {self.wall_seconds:.3f} s")
+                f"  {name:<11} plan {leg['plan_seconds']:6.3f} s "
+                f"(capture {leg['capture_seconds']:6.3f} s)  "
+                f"simulate {leg['execute_seconds']:7.3f} s  "
+                f"stats {leg['stats_seconds']:6.3f} s  "
+                f"[{leg['n_simulated']} simulated, {leg['n_cached']} cached]")
+        lines.append(f"total wall-clock: {phases['wall_seconds']:.3f} s")
+        if self.profile is not None:
+            lines.append("")
+            lines.append(self.profile.render())
         return "\n".join(lines)
 
 
@@ -312,22 +338,7 @@ def sweep_to_dict(result: SweepResult) -> dict:
         "matrix": matrix,
         "reports": {leg.name: report_to_dict(leg.report)
                     for leg in result.legs},
-        "phases": {
-            "shared_seconds": dict(result.shared_seconds),
-            "legs": {
-                leg.name: {
-                    "plan_seconds": leg.plan_seconds,
-                    "capture_seconds": leg.capture_seconds,
-                    "execute_seconds": leg.execute_seconds,
-                    "stats_seconds": leg.stats_seconds,
-                    "n_inputs": leg.n_inputs,
-                    "n_cached": leg.n_cached,
-                    "n_simulated": leg.n_simulated,
-                }
-                for leg in result.legs
-            },
-            "wall_seconds": result.wall_seconds,
-        },
+        "phases": result.phase_seconds(),
     }
 
 
@@ -392,110 +403,108 @@ def sweep_configs(workload: Workload, configs, *,
             f"swept configs must have distinct names, got {names}; "
             "use CoreConfig.with_(name=...) to disambiguate variants")
 
-    sweep_started = time.perf_counter()
-    shared_seconds: dict = {}
+    with span("sweep") as root:
+        # Shared phase 1: taint/publicness witness (config-independent).
+        publicness = None
+        if taint:
+            from repro.taint import compute_publicness
 
-    # Shared phase 1: taint/publicness witness (config-independent).
-    publicness = None
-    if taint:
-        from repro.taint import compute_publicness
+            with span("taint"):
+                publicness = compute_publicness(workload,
+                                                batch_lanes=batch_lanes)
 
-        taint_started = time.perf_counter()
-        publicness = compute_publicness(workload, batch_lanes=batch_lanes)
-        shared_seconds["taint"] = time.perf_counter() - taint_started
+        # Shared phase 2: assemble once, patch once per input.
+        with span("assemble_patch"):
+            program = workload.assemble()
+            patched = [patch_program(program, patches)
+                       for patches in workload.inputs]
 
-    # Shared phase 2: assemble once, patch once per input.
-    assemble_started = time.perf_counter()
-    program = workload.assemble()
-    patched = [patch_program(program, patches)
-               for patches in workload.inputs]
-    shared_seconds["assemble_patch"] = (time.perf_counter()
-                                        - assemble_started)
+        # Shared phase 3: one checkpoint store for every leg.  With a
+        # cache, prepare_campaign already derives the store from the cache
+        # root; the cacheless path gets a sweep-private temporary store so
+        # capture still happens once instead of once per config.
+        tempdir = None
+        checkpoint_dir = None
+        if warmup_insts is not None and cache is None:
+            tempdir = tempfile.TemporaryDirectory(
+                prefix="microsampler-sweep-ckpt-")
+            checkpoint_dir = tempdir.name
+        samplers = []
+        taints = []
+        plans = []
+        try:
+            for config in configs:
+                sampler = MicroSampler(
+                    config, features=features, v_threshold=v_threshold,
+                    alpha=alpha,
+                    analyze_timing_removed=analyze_timing_removed,
+                    extract_root_causes_for_leaky=(
+                        extract_root_causes_for_leaky),
+                    warmup_iterations=warmup_iterations, jobs=jobs,
+                    cache=cache, warmup_insts=warmup_insts,
+                    batch_lanes=batch_lanes, measure_mi=measure_mi,
+                    mi_permutations=mi_permutations, profile=profile,
+                    taint=taint)
+                with span(f"leg {config.name}"):
+                    # Per-config projection of the shared taint witness:
+                    # only reachability consults the config, so each leg's
+                    # pruned set — and therefore its trace-cache keys —
+                    # matches standalone.
+                    taint_summary = (
+                        sampler.compute_taint(workload,
+                                              publicness=publicness)
+                        if taint else None)
+                    plan = prepare_campaign(
+                        workload, config, features=sampler.features,
+                        max_cycles_per_run=max_cycles_per_run, cache=cache,
+                        warmup_insts=warmup_insts,
+                        checkpoint_dir=checkpoint_dir,
+                        batch_lanes=batch_lanes, profile=profile,
+                        pruned=(taint_summary.pruned if taint_summary
+                                else ()),
+                        programs=patched)
+                samplers.append(sampler)
+                taints.append(taint_summary)
+                plans.append(plan)
 
-    # Shared phase 3: one checkpoint store for every leg.  With a cache,
-    # prepare_campaign already derives the store from the cache root; the
-    # cacheless path gets a sweep-private temporary store so capture still
-    # happens once instead of once per config.
-    tempdir = None
-    checkpoint_dir = None
-    if warmup_insts is not None and cache is None:
-        tempdir = tempfile.TemporaryDirectory(
-            prefix="microsampler-sweep-ckpt-")
-        checkpoint_dir = tempdir.name
-    samplers = []
-    taints = []
-    plans = []
-    plan_seconds = []
-    try:
-        for config in configs:
-            sampler = MicroSampler(
-                config, features=features, v_threshold=v_threshold,
-                alpha=alpha, analyze_timing_removed=analyze_timing_removed,
-                extract_root_causes_for_leaky=extract_root_causes_for_leaky,
-                warmup_iterations=warmup_iterations, jobs=jobs, cache=cache,
-                warmup_insts=warmup_insts, batch_lanes=batch_lanes,
-                measure_mi=measure_mi,
-                mi_permutations=mi_permutations, profile=profile,
-                taint=taint)
-            # Per-config projection of the shared taint witness: only
-            # reachability consults the config, so each leg's pruned set —
-            # and therefore its trace-cache keys — matches standalone.
-            taint_summary = (sampler.compute_taint(workload,
-                                                   publicness=publicness)
-                             if taint else None)
-            started = time.perf_counter()
-            plan = prepare_campaign(
-                workload, config, features=sampler.features,
-                max_cycles_per_run=max_cycles_per_run, cache=cache,
-                warmup_insts=warmup_insts, checkpoint_dir=checkpoint_dir,
-                batch_lanes=batch_lanes, profile=profile,
-                pruned=taint_summary.pruned if taint_summary else (),
-                programs=patched)
-            samplers.append(sampler)
-            taints.append(taint_summary)
-            plans.append(plan)
-            plan_seconds.append(time.perf_counter() - started)
+            # Fan-out: every leg's pending lane groups through one backend.
+            shards = [(leg_index, group)
+                      for leg_index, plan in enumerate(plans)
+                      for group in _lane_groups(plan.pending_tasks)]
+            with span("execute"):
+                shard_results = _execute_shards(
+                    [group for _, group in shards], jobs=jobs, pool=pool)
+                for (leg_index, group), (outputs, _seconds) in zip(
+                        shards, shard_results):
+                    for task, output in zip(group, outputs):
+                        plans[leg_index].fill(task.run_index, output)
 
-        # Fan-out: every leg's pending lane groups through one backend.
-        shards = [(leg_index, group) for leg_index, plan in enumerate(plans)
-                  for group in _lane_groups(plan.pending_tasks)]
-        shard_results = _execute_shards([group for _, group in shards],
-                                        jobs=jobs, pool=pool)
-        leg_exec_seconds = [0.0] * len(plans)
-        for (leg_index, group), (outputs, seconds) in zip(shards,
-                                                          shard_results):
-            for task, output in zip(group, outputs):
-                plans[leg_index].fill(task.run_index, output)
-            leg_exec_seconds[leg_index] += seconds
-
-        # Per-leg merge + statistics (stages 3-4 are config-specific).
-        legs = []
-        for leg_index, plan in enumerate(plans):
-            stats_started = time.perf_counter()
-            campaign = finalize_campaign(plan, pool=pool)
-            report = samplers[leg_index].analyze_campaign(
-                campaign, taint=taints[leg_index])
-            legs.append(SweepLeg(
-                config=configs[leg_index],
-                report=report,
-                plan_seconds=plan_seconds[leg_index],
-                capture_seconds=plan.capture_seconds,
-                execute_seconds=leg_exec_seconds[leg_index],
-                stats_seconds=time.perf_counter() - stats_started,
-                n_inputs=len(workload.inputs),
-                n_cached=plan.n_cached,
-                n_simulated=len(plan.to_run),
-            ))
-    finally:
-        for plan in plans:
-            plan.release()
-        if tempdir is not None:
-            tempdir.cleanup()
+            # Per-leg merge + statistics (stages 3-4 are config-specific).
+            legs = []
+            for leg_index, plan in enumerate(plans):
+                config = configs[leg_index]
+                with span(f"leg {config.name}") as leg_span:
+                    campaign = finalize_campaign(plan, pool=pool)
+                    report = samplers[leg_index].analyze_campaign(
+                        campaign, taint=taints[leg_index])
+                legs.append(SweepLeg(
+                    config=config,
+                    report=report,
+                    n_inputs=len(workload.inputs),
+                    n_cached=plan.n_cached,
+                    n_simulated=len(plan.to_run),
+                    span=leg_span,
+                ))
+        finally:
+            for plan in plans:
+                plan.release()
+            if tempdir is not None:
+                tempdir.cleanup()
 
     return SweepResult(
         workload_name=workload.name,
         n_inputs=len(workload.inputs),
         legs=legs,
-        shared_seconds=shared_seconds,
-        wall_seconds=time.perf_counter() - sweep_started,
+        spans=root,
+        profile=root if profile else None,
     )

@@ -65,12 +65,13 @@ from repro.util.hashing import stable_hex_digest
 #: 6 = cross-config sweeps (the key material canonicalizes the core
 #: configuration as its memoized :func:`config_digest` instead of the raw
 #: ``asdict`` dict, and payloads record the producing config's name and
-#: digest so ``cache stats`` can break warm entries down per core config).
+#: digest so ``cache stats`` can break warm entries down per core config);
+#: 7 = payloads drop the run's sampling seconds, which no replay read.
 #: Entries written by older versions fail the version check and decode as
 #: misses, so campaigns needing localization inputs are transparently
 #: re-simulated instead of replaying traces without them; ``microsampler
 #: cache prune`` garbage-collects the stale files.
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "MICROSAMPLER_CACHE_DIR"
@@ -160,7 +161,6 @@ def _output_to_payload(output: RunOutput, config=None) -> tuple:
         (run.exit_code, dataclasses.asdict(run.stats), run.console,
          tuple(run.marker_cycles)),
         output.cycles_sampled,
-        output.sample_seconds,
         output.ff_steps,
         output.checkpoint_key,
         tuple((d.pc, d.step, d.kind, d.mnemonic, tuple(d.lanes))
@@ -173,10 +173,10 @@ def _output_to_payload(output: RunOutput, config=None) -> tuple:
 
 
 def _output_from_payload(payload: tuple) -> RunOutput | None:
-    if not isinstance(payload, tuple) or len(payload) != 9:
+    if not isinstance(payload, tuple) or len(payload) != 8:
         return None
-    (version, iterations, run, cycles_sampled, sample_seconds,
-     ff_steps, ckpt_key, divergences, _config) = payload
+    (version, iterations, run, cycles_sampled, ff_steps, ckpt_key,
+     divergences, _config) = payload
     if version != CACHE_FORMAT_VERSION:
         return None
     exit_code, stats, console, marker_cycles = run
@@ -190,7 +190,6 @@ def _output_from_payload(payload: tuple) -> RunOutput | None:
             marker_cycles=list(marker_cycles),
         ),
         cycles_sampled=cycles_sampled,
-        sample_seconds=sample_seconds,
         from_cache=True,
         ff_steps=ff_steps,
         checkpoint_key=ckpt_key,
@@ -352,16 +351,16 @@ def _payload_version(path: Path) -> int | None:
 
 def _payload_checkpoint_key(payload: tuple) -> str | None:
     """The checkpoint key a current-version trace payload references."""
-    if len(payload) >= 7 and isinstance(payload[6], str):
-        return payload[6]
+    if len(payload) >= 6 and isinstance(payload[5], str):
+        return payload[5]
     return None
 
 
 def _payload_config(payload: tuple) -> tuple | None:
     """``(name, digest)`` of the core config that produced a trace payload."""
-    if (len(payload) >= 9 and isinstance(payload[8], tuple)
-            and len(payload[8]) == 2):
-        return payload[8]
+    if (len(payload) >= 8 and isinstance(payload[7], tuple)
+            and len(payload[7]) == 2):
+        return payload[7]
     return None
 
 

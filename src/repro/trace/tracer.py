@@ -24,13 +24,13 @@ leaking cycle window back onto instructions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.trace.features import FEATURE_ORDER, FEATURES, FeatureSpec
 from repro.util.hashing import combine_digests, pack_digests, row_digest, siphash24
+from repro.util.profiling import Span
 
 
 class TraceError(RuntimeError):
@@ -377,12 +377,10 @@ class MicroarchTracer:
         #: ``_FeatureAccumulator.finalize``).
         self._snapshot_cache: dict[bytes, tuple] = _SNAPSHOT_CACHE
         self.cycles_sampled = 0
-        #: When True, time spent sampling (``sample_seconds``, per-cycle) and
-        #: finalizing (``finalize_seconds``, at iter.end) is accumulated
-        #: separately (used for the Table VI stage breakdown and --profile).
-        self.timed = False
-        self.sample_seconds = 0.0
-        self.finalize_seconds = 0.0
+        #: Span whose ``parse`` child times each ``iter.end`` finalize (the
+        #: Table VI parse stage); the executor points it at the run phase
+        #: in progress.
+        self.span = Span("tracer")
 
     # -- core callbacks -------------------------------------------------------
 
@@ -434,24 +432,26 @@ class MicroarchTracer:
                 if self.roi_seen and not self.roi_active:
                     return
                 raise TraceError("iter.end without iter.begin")
-            started = time.perf_counter() if self.timed else 0.0
-            record = self._open
-            record.end_cycle = cycle
-            if self.log_commits:
-                record.commits = tuple(self._commit_log)
-                self._commit_log = []
-            combine = self._combine_cached
-            snapshot_cache = self._snapshot_cache
-            for spec in self.specs:
-                accumulator = self._accumulators[spec.feature_id]
-                record.features[spec.feature_id] = accumulator.finalize(
-                    spec.feature_id in self.keep_raw, combine, snapshot_cache
-                )
-            self.append_record(record)
-            self._open = None
-            self._accumulators = {}
-            if self.timed:
-                self.finalize_seconds += time.perf_counter() - started
+            with self.span.child("parse"):
+                self._close_record(cycle)
+
+    def _close_record(self, cycle: int) -> None:
+        """``iter.end``: finalize the open window into a record."""
+        record = self._open
+        record.end_cycle = cycle
+        if self.log_commits:
+            record.commits = tuple(self._commit_log)
+            self._commit_log = []
+        combine = self._combine_cached
+        snapshot_cache = self._snapshot_cache
+        for spec in self.specs:
+            accumulator = self._accumulators[spec.feature_id]
+            record.features[spec.feature_id] = accumulator.finalize(
+                spec.feature_id in self.keep_raw, combine, snapshot_cache
+            )
+        self.append_record(record)
+        self._open = None
+        self._accumulators = {}
 
     def _combine_cached(self, digests: list[int]) -> int:
         """`combine_digests` with a bounded exact-input memo.
@@ -494,7 +494,6 @@ class MicroarchTracer:
     def on_cycle(self, core, cycle: int) -> None:
         if self._open is None:
             return
-        started = time.perf_counter() if self.timed else 0.0
         self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
@@ -506,8 +505,6 @@ class MicroarchTracer:
                     continue
                 accumulator.last_token = token
             accumulator.add(sample(core))
-        if self.timed:
-            self.sample_seconds += time.perf_counter() - started
 
     # -- results ----------------------------------------------------------------
 
@@ -578,9 +575,6 @@ class BatchTracer(MicroarchTracer):
     # -- core callbacks -------------------------------------------------------
 
     def on_marker(self, mnemonic: str, label, cycle: int) -> None:
-        if mnemonic == "iter.end":
-            self._close_lane_records(cycle)
-            return
         lane_labels = None
         if mnemonic == "iter.begin":
             if isinstance(label, np.ndarray):
@@ -597,7 +591,6 @@ class BatchTracer(MicroarchTracer):
     def on_cycle(self, core, cycle: int) -> None:
         if self._open is None:
             return
-        started = time.perf_counter() if self.timed else 0.0
         self.cycles_sampled += 1
         for sample, version, accumulator, digests in self._samplers:
             if version is not None:
@@ -608,12 +601,10 @@ class BatchTracer(MicroarchTracer):
                     continue
                 accumulator.last_token = token
             accumulator.add(sample(core))
-        if self.timed:
-            self.sample_seconds += time.perf_counter() - started
 
     # -- per-lane finalization ------------------------------------------------
 
-    def _close_lane_records(self, cycle: int) -> None:
+    def _close_record(self, cycle: int) -> None:
         """``iter.end``: finalize the shared window into per-lane records.
 
         Lane-invariant features are finalized once and the frozen
@@ -623,11 +614,6 @@ class BatchTracer(MicroarchTracer):
         and may use the shared snapshot memo because their digests are
         real).
         """
-        if self._open is None:
-            if self.roi_seen and not self.roi_active:
-                return
-            raise TraceError("iter.end without iter.begin")
-        started = time.perf_counter() if self.timed else 0.0
         record = self._open
         record.end_cycle = cycle
         commits = None
@@ -671,8 +657,6 @@ class BatchTracer(MicroarchTracer):
         self._open = None
         self._accumulators = {}
         self._open_labels = None
-        if self.timed:
-            self.finalize_seconds += time.perf_counter() - started
 
     @staticmethod
     def _project_lane(accumulator: _BatchFeatureAccumulator, lane: int,

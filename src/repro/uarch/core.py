@@ -201,8 +201,9 @@ class Core:
         self._rob_next_slot = 0
         self.halted = False
         self.stats = CoreStats()
-        #: Optional per-stage profiler (util.profiling.StageProfile); when
-        #: set, :meth:`step` routes through the instrumented variant.
+        #: Optional per-stage profiler: one span per
+        #: :data:`repro.util.profiling.STAGE_LABELS` entry, in that order;
+        #: when set, :meth:`step` routes through the instrumented variant.
         self.profiler = None
         self.arch = _CommittedState(self)
         #: Optional commit listener: called as listener(pc, mnemonic,
@@ -272,22 +273,22 @@ class Core:
         """One cycle with per-stage wall-clock attribution (``--profile``).
 
         Runs the same guarded stage sequence as :meth:`step` but brackets
-        each stage with ``perf_counter`` reads, accumulating into
-        ``self.profiler`` (a :class:`repro.util.profiling.StageProfile`).
+        each stage with ``perf_counter`` reads, charging the elapsed time to
+        the spans in ``self.profiler``.
         """
         from time import perf_counter
 
-        profile = self.profiler
+        (commit, memsys, writeback, issue, rename, fetch,
+         tracer) = self.profiler
         cycle = self.cycle + 1
         self.cycle = cycle
         self.stats.cycles = cycle
-        profile.cycles += 1
         dcache = self.dcache
         dcache.begin_cycle()
         if self.rob:
             t0 = perf_counter()
             self._commit()
-            profile.commit_seconds += perf_counter() - t0
+            commit.seconds += perf_counter() - t0
             if self.halted:
                 return
         cycle = self.cycle
@@ -298,13 +299,13 @@ class Core:
         if icache.pending:
             icache.tick(cycle)
         t1 = perf_counter()
-        profile.memsys_seconds += t1 - t0
+        memsys.seconds += t1 - t0
         if self.units.versions["active"] or self.inflight_loads:
             self._writeback()
         if self.pending_recoveries:
             self._fire_due_recoveries()
         t0 = perf_counter()
-        profile.writeback_seconds += t0 - t1
+        writeback.seconds += t0 - t1
         lsu = self.lsu
         if lsu.store_queue:
             lsu.drain_committed_store(cycle)
@@ -314,21 +315,21 @@ class Core:
             if started:
                 self.inflight_loads.extend(started)
         t1 = perf_counter()
-        profile.memsys_seconds += t1 - t0
+        memsys.seconds += t1 - t0
         if self.iq:
             self._issue()
         t0 = perf_counter()
-        profile.issue_seconds += t0 - t1
+        issue.seconds += t0 - t1
         if self.fetch_buffer:
             self._rename_dispatch()
         t1 = perf_counter()
-        profile.rename_seconds += t1 - t0
+        rename.seconds += t1 - t0
         self._fetch()
         t0 = perf_counter()
-        profile.fetch_seconds += t0 - t1
+        fetch.seconds += t0 - t1
         if self.tracer is not None:
             self.tracer.on_cycle(self, cycle)
-            profile.tracer_seconds += perf_counter() - t0
+            tracer.seconds += perf_counter() - t0
 
     def run(self, max_cycles: int = 5_000_000) -> RunResult:
         """Run to completion (program exit via the proxy kernel)."""

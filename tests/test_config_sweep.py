@@ -292,6 +292,17 @@ def test_cli_sweep_json(tmp_path, capsys):
     assert payload["leakage_detected"]  # early-exit memcmp leaks everywhere
 
 
+def test_cli_sweep_profile_renders_span_tree(capsys):
+    from repro.cli import main
+
+    main(["sweep", "sam-ct", "--configs", "small,medium", "--inputs", "2",
+          "--no-cache", "--profile"])
+    out = capsys.readouterr().out
+    assert "Span tree" in out
+    assert "run SmallBoom" in out and "run MediumBoom" in out
+    assert "rename/dispatch" in out  # the per-stage core rows
+
+
 def test_cli_sweep_rejects_unknown_config():
     from repro.cli import main
 

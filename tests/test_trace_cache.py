@@ -195,13 +195,22 @@ class TestReplay:
         assert_campaigns_identical(cold, warm)
 
     def test_stale_format_version_is_a_miss(self, cache):
+        from repro.sampler.trace_cache import prune_cache
+
         workload = _workload(n_inputs=1)
         run_campaign(workload, SMALL_BOOM, cache=cache)
-        for path in cache.root.rglob("*.pkl"):
-            payload = pickle.loads(path.read_bytes())
-            path.write_bytes(pickle.dumps((-1,) + payload[1:]))
+        [path] = cache.root.rglob("*.pkl")
+        payload = pickle.loads(path.read_bytes())
+        # Version 6 stored the run's sampling seconds after cycles_sampled.
+        v6 = (6,) + payload[1:4] + (0.25,) + payload[4:]
+        for stale in ((-1,) + payload[1:], v6):
+            path.write_bytes(pickle.dumps(stale))
+            assert cache.load(path.stem) is None
         warm = run_campaign(workload, SMALL_BOOM, cache=cache)
         assert warm.n_cached_runs == 0
+        path.write_bytes(pickle.dumps(v6))
+        assert prune_cache(cache.root)["removed"]["trace"] == 1
+        assert not path.exists()
 
     def test_no_cache_bypasses(self, tmp_path):
         workload = _workload()
